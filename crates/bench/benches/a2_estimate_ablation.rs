@@ -8,8 +8,32 @@ use gcs_analysis::{SkewObserver, Table};
 use gcs_bench::banner;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
-use gcs_sim::{rates, DirectionalDelay, Engine};
+use gcs_sim::{rates, DirectionalDelay, Engine, Protocol};
 use gcs_time::DriftBounds;
+
+/// Worst local skew of `protocols` on a path with split drift and
+/// directional worst-case delays.
+fn worst_local<P: Protocol>(
+    protocols: Vec<P>,
+    drift: DriftBounds,
+    t_max: f64,
+    horizon: f64,
+) -> f64 {
+    let graph = topology::path(protocols.len());
+    let d = graph.len() - 1;
+    let dist = graph.distances_from(NodeId(0));
+    let schedules = rates::split(graph.len(), drift, |v| dist[v] < (d / 2) as u32);
+    let delay = DirectionalDelay::new(&graph, NodeId(0), 0.0, t_max);
+    let mut observer = SkewObserver::new(&graph);
+    let mut engine = Engine::builder(graph)
+        .protocols(protocols)
+        .delay_model(delay)
+        .rate_schedules(schedules)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until_observed(horizon, |e| observer.observe(e));
+    observer.worst_local()
+}
 
 fn main() {
     banner(
@@ -32,29 +56,14 @@ fn main() {
     for h0_factor in [1.0f64, 4.0, 16.0, 64.0] {
         let mu = 14.0 * eps / (1.0 - eps);
         let params = Params::with_h0_mu(eps, t_max, h0_factor * t_max, mu).unwrap();
-        let run = |frozen: bool| {
-            let graph = topology::path(d + 1);
-            let n = graph.len();
-            let dist = graph.distances_from(NodeId(0));
-            let schedules = rates::split(n, drift, |v| dist[v] < (d / 2) as u32);
-            let delay = DirectionalDelay::new(&graph, NodeId(0), 0.0, t_max);
-            let protocols = if frozen {
-                vec![AOpt::with_frozen_estimates(params); n]
-            } else {
-                vec![AOpt::new(params); n]
-            };
-            let mut observer = SkewObserver::new(&graph);
-            let mut engine = Engine::builder(graph)
-                .protocols(protocols)
-                .delay_model(delay)
-                .rate_schedules(schedules)
-                .build();
-            engine.wake_all_at(0.0);
-            engine.run_until_observed(100.0 + 20.0 * h0_factor, |e| observer.observe(e));
-            observer.worst_local()
-        };
-        let faithful = run(false);
-        let frozen = run(true);
+        let horizon = 100.0 + 20.0 * h0_factor;
+        let faithful = worst_local(vec![AOpt::new(params); d + 1], drift, t_max, horizon);
+        let frozen = worst_local(
+            vec![AOpt::with_frozen_estimates(params); d + 1],
+            drift,
+            t_max,
+            horizon,
+        );
         let bound = params.local_skew_bound(d as u32);
         assert!(
             faithful <= bound + 1e-9,

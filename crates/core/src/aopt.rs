@@ -1,4 +1,5 @@
-//! The `A^opt` algorithm (paper Section 4, Algorithms 1–4).
+//! The `A^opt` algorithm (paper Section 4, Algorithms 1–4) and the one
+//! core every variant runs on.
 //!
 //! Every node maintains:
 //!
@@ -13,7 +14,7 @@
 //! Events:
 //!
 //! * **Algorithm 1** — when `L_v^max` reaches an integer multiple of `H₀`,
-//!   broadcast `⟨L_v, L_v^max⟩` (timer slot [`AOpt::SEND_TIMER`]).
+//!   broadcast `⟨L_v, L_v^max⟩` (timer slot [`AOptCore::SEND_TIMER`]).
 //! * **Algorithm 2** — on receiving `⟨L_w, L_w^max⟩`: adopt and immediately
 //!   forward a strictly larger `L_w^max`; adopt a larger `L_w` into
 //!   `L_v^w`/`ℓ_v^w`; recompute `Λ↑`, `Λ↓`; call `setClockRate`.
@@ -21,13 +22,27 @@
 //!   multiplier and, if `R_v > 0`, the hardware value `H_v^R = H_v + R_v/μ`
 //!   at which to fall back to the nominal rate.
 //! * **Algorithm 4** — when `H_v` reaches `H_v^R`, reset `ρ_v := 1` (timer
-//!   slot [`AOpt::RATE_TIMER`]).
+//!   slot [`AOptCore::RATE_TIMER`]).
 //!
 //! Initialization follows the paper's scheme: a node waking spontaneously
 //! sends `⟨0, 0⟩`; a node initialized by its first received message starts
 //! its clocks at 0 and processes that message (forwarding a larger estimate
 //! immediately). Until a first message from a neighbour arrives, the node is
 //! oblivious to that neighbour.
+//!
+//! # One core, one policy per variant
+//!
+//! [`AOptCore`] owns all of the above once: the logical clock, `L_v^max`,
+//! the neighbour-estimate table with its incremental `Λ` trackers,
+//! broadcast and the send counter, `setClockRate` and the Algorithm 4 rate
+//! timer. The paper's variants each change one small thing, and a
+//! [`Policy`] supplies exactly that: the message encoding and decoding
+//! (where received values may be compensated), the send [`Trigger`], the
+//! `L_v^max` model (plain offset, or damped with crossing timers), the
+//! effective `κ`, and jump vs. rate boost. [`AOpt`] is the core with the
+//! [`Plain`] policy.
+
+use std::fmt::Debug;
 
 use gcs_graph::NodeId;
 use gcs_sim::{Context, Protocol, TimerId};
@@ -39,6 +54,9 @@ use crate::Params;
 /// Sentinel for "no tracked entry" in the incremental Λ fold caches.
 const NO_ENTRY: u32 = u32::MAX;
 
+/// Timer slot of the `L_v = L_v^max` crossing under a damped `L_v^max`.
+pub(crate) const CROSS_TIMER: TimerId = TimerId(2);
+
 /// The synchronization message `⟨L_v, L_v^max⟩`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AOptMsg {
@@ -47,6 +65,142 @@ pub struct AOptMsg {
     /// The sender's maximum-clock estimate at send time (an integer multiple
     /// of `H₀`).
     pub lmax: f64,
+}
+
+/// When a variant broadcasts. Every trigger also broadcasts `⟨0, 0⟩` at
+/// start and forwards a strictly larger received `L^max`; they differ in
+/// the timer and in what a forward does to it. DESIGN.md maps each variant
+/// to its trigger and the paper section behind it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trigger {
+    /// Algorithm 1: broadcast the exact multiple when `L_v^max` reaches the
+    /// next multiple of `H₀`; a forward announces the received value and
+    /// re-arms for the next multiple.
+    Grid,
+    /// Broadcast every `H₀` of hardware time; forwards leave the timer be.
+    Periodic,
+    /// Broadcast `H₀` after the node's last broadcast of any kind.
+    Heartbeat,
+    /// Section 6.1: as [`Trigger::Heartbeat`], but a forward that comes
+    /// less than `H₀` after the last broadcast waits for the heartbeat.
+    MinGap,
+}
+
+/// Why the core broadcasts (passed to [`Policy::emit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// The start broadcast `⟨0, 0⟩`.
+    Start,
+    /// The send trigger fired.
+    Trigger,
+    /// A strictly larger received `L^max` is forwarded.
+    Forward,
+    /// Application traffic carrying the sync fields (piggybacking).
+    App,
+}
+
+/// What one variant changes about Algorithms 1–4.
+///
+/// Every hook is an associated function on the whole [`AOptCore`], so a
+/// policy reads and writes core state directly; the defaults are the plain
+/// algorithm's behaviour. Only the wire format ([`Policy::emit`],
+/// [`Policy::receive`]) has no default. The policies are this crate's
+/// variants; the core's fields are not public, so the trait is not meant
+/// to be implemented elsewhere.
+pub trait Policy: Clone + Debug + Sized {
+    /// The message type on the wire.
+    type Msg: Clone + Debug;
+    /// The send trigger.
+    const TRIGGER: Trigger = Trigger::Grid;
+    /// Apply a positive `R_v` as an instantaneous jump (`β = ∞`) instead of
+    /// a bounded-rate boost, leaving the rate timer alone.
+    const JUMP: bool = false;
+    /// Keep neighbour estimates at the raw received value `ℓ_v^w` instead
+    /// of advancing them at the hardware rate (an ablation).
+    const FROZEN: bool = false;
+    /// Update `L_v^w` only from a received value larger than `ℓ_v^w`
+    /// (Algorithm 2, line 5). Off when received values are monotone by
+    /// construction and every message must refresh the estimate.
+    const GUARDED: bool = true;
+
+    /// Sends one broadcast announcing `lmax` (the core has already counted
+    /// it).
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64, cause: Cause);
+
+    /// Decodes a received message into the `(L_w, L_w^max)` this node acts
+    /// on, or `None` to ignore it.
+    fn receive(
+        core: &mut AOptCore<Self>,
+        ctx: &mut Context<'_, Self::Msg>,
+        from: NodeId,
+        msg: Self::Msg,
+    ) -> Option<(f64, f64)>;
+
+    /// The `κ` of `setClockRate`.
+    fn kappa(core: &AOptCore<Self>) -> f64 {
+        core.params.kappa()
+    }
+
+    /// Initializes `L_v^max = 0` at start (before the start broadcast).
+    fn init(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>) {
+        core.lmax = Some(Lmax::Offset(0.0 - ctx.hw()));
+    }
+
+    /// Adopts a strictly larger received `L^max` (before it is forwarded).
+    fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64) {
+        core.lmax = Some(Lmax::Offset(lmax - ctx.hw()));
+    }
+
+    /// Sets the logical multiplier `setClockRate` (or the rate timer) asks
+    /// for; the rate timer is already set or cancelled.
+    fn apply_rate(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, desired: f64) {
+        core.logical.set_multiplier(ctx.hw(), desired);
+    }
+
+    /// Whether a [`Trigger::Grid`] broadcast (`cause` is `Trigger` or
+    /// `Forward`) goes out; the timer is re-armed either way.
+    fn send_due(core: &AOptCore<Self>, hw: f64, lmax: f64, cause: Cause) -> bool {
+        let _ = (core, hw, lmax, cause);
+        true
+    }
+
+    /// Runs at the end of start, after the send trigger is armed.
+    fn started(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>) {
+        let _ = (core, ctx);
+    }
+
+    /// Handles timer slots other than the send and rate timers.
+    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, timer: TimerId) {
+        let _ = (core, ctx);
+        unreachable!("unknown timer slot {timer:?}")
+    }
+}
+
+/// `L_v^max` as a function of the hardware reading.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Lmax {
+    /// `H_v + offset`: advances at the hardware rate (Algorithm 2).
+    Offset(f64),
+    /// `anchor + (H_v − anchor_hw)·scale`: the damped estimate of
+    /// Sections 8.5 and 8.6.
+    Scaled {
+        anchor: f64,
+        anchor_hw: f64,
+        scale: f64,
+    },
+}
+
+impl Lmax {
+    fn value(self, hw: f64) -> f64 {
+        match self {
+            Lmax::Offset(offset) => hw + offset,
+            Lmax::Scaled {
+                anchor,
+                anchor_hw,
+                scale,
+            } => anchor + (hw - anchor_hw) * scale,
+        }
+    }
 }
 
 /// Per-neighbour bookkeeping.
@@ -60,7 +214,8 @@ struct NeighborEstimate {
     ell: f64,
 }
 
-/// The `A^opt` protocol state of one node.
+/// One node of `A^opt` or of a variant: the shared state of Algorithms 1–4
+/// plus the variant's [`Policy`].
 ///
 /// # Example
 ///
@@ -84,19 +239,20 @@ struct NeighborEstimate {
 /// # Ok::<(), gcs_core::ParamError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct AOpt {
-    params: Params,
-    logical: LogicalClock,
-    /// `L_v^max − H_v` (constant between updates); `None` before start.
-    lmax_offset: Option<f64>,
+pub struct AOptCore<P: Policy> {
+    pub(crate) params: Params,
+    pub(crate) logical: LogicalClock,
+    /// `L_v^max`; `None` before start (and at the Section 8.5 reference,
+    /// which has no estimate and reads 0).
+    pub(crate) lmax: Option<Lmax>,
     /// Index of the next `H₀` multiple at which to send (Algorithm 1).
-    next_multiple: u64,
+    pub(crate) next_multiple: u64,
     /// Per-neighbour estimates, keyed by a linear scan: node degrees are
     /// small, so this beats hashing on the engine's per-message hot path
     /// (and the skew folds over it are order-insensitive `max`es).
     estimates: Vec<(NodeId, NeighborEstimate)>,
     /// Index into `estimates` of the entry with the **largest** fold key
-    /// (see [`AOpt::fold_key`]) — the argmax behind `Λ↑`. Incrementally
+    /// (see [`AOptCore::fold_key`]) — the argmax behind `Λ↑`. Incrementally
     /// maintained: entries only mutate in `on_message`, and between
     /// messages every estimate advances by the same hardware offset, so
     /// the cached argmax stays the argmax and yields a `Λ↑` bit-identical
@@ -104,42 +260,52 @@ pub struct AOpt {
     arg_hi: u32,
     /// Argmin twin of `arg_hi` (the entry behind `Λ↓`).
     arg_lo: u32,
-    /// `H_v^R` while the fast mode is armed (diagnostics only; the timer is
-    /// authoritative).
-    h_r: Option<f64>,
     /// Count of messages this node broadcast (diagnostics).
     sends: u64,
-    /// When set, apply positive `R_v` as an instantaneous jump instead of a
-    /// bounded-rate boost (the `β = ∞` regime discussed after Theorem 5.10);
-    /// used by [`crate::AOptJump`].
-    pub(crate) jump_mode: bool,
-    /// Ablation switch: when set, neighbour estimates are *not* advanced at
-    /// the hardware rate between messages (they stay at the raw received
-    /// value `ℓ_v^w`). See [`AOpt::with_frozen_estimates`].
-    freeze_estimates: bool,
+    /// Hardware reading at this node's last broadcast.
+    pub(crate) last_send_hw: f64,
+    pub(crate) policy: P,
+}
+
+/// The `A^opt` protocol state of one node: the core with the [`Plain`]
+/// policy.
+pub type AOpt = AOptCore<Plain>;
+
+/// Algorithms 1–4 as the paper states them, with the two switches the
+/// experiments flip: `JUMP` (the `β = ∞` regime, [`crate::AOptJump`]) and
+/// `FROZEN` (the estimate ablation, [`AOpt::with_frozen_estimates`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Plain<const JUMP: bool = false, const FROZEN: bool = false>;
+
+/// The policy of [`crate::AOptJump`].
+pub type Jump = Plain<true, false>;
+
+/// The policy of [`AOpt::with_frozen_estimates`].
+pub type Frozen = Plain<false, true>;
+
+impl<const J: bool, const F: bool> Policy for Plain<J, F> {
+    type Msg = AOptMsg;
+    const JUMP: bool = J;
+    const FROZEN: bool = F;
+
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64, _: Cause) {
+        ctx.send_all(core.sync_msg(ctx.hw(), lmax));
+    }
+
+    fn receive(
+        _: &mut AOptCore<Self>,
+        _: &mut Context<'_, AOptMsg>,
+        _: NodeId,
+        msg: AOptMsg,
+    ) -> Option<(f64, f64)> {
+        Some((msg.logical, msg.lmax))
+    }
 }
 
 impl AOpt {
-    /// Timer slot for the Algorithm 1 send trigger.
-    pub const SEND_TIMER: TimerId = TimerId(0);
-    /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
-
     /// Creates a node with the given parameters.
     pub fn new(params: Params) -> Self {
-        AOpt {
-            params,
-            logical: LogicalClock::new(),
-            lmax_offset: None,
-            next_multiple: 1,
-            estimates: Vec::new(),
-            arg_hi: NO_ENTRY,
-            arg_lo: NO_ENTRY,
-            h_r: None,
-            sends: 0,
-            jump_mode: false,
-            freeze_estimates: false,
-        }
+        AOptCore::with_policy(params, Plain)
     }
 
     /// Ablated variant for the `a2_estimate_ablation` experiment: neighbour
@@ -148,10 +314,29 @@ impl AOpt {
     /// (Eq. 4) assumes advancing estimates; freezing them inflates the
     /// staleness from `𝒪(𝒯 + H̄₀)` to `𝒪(𝒯 + H₀)` and the skew with it.
     /// Never use this to *run* a deployment.
-    pub fn with_frozen_estimates(params: Params) -> Self {
-        AOpt {
-            freeze_estimates: true,
-            ..Self::new(params)
+    pub fn with_frozen_estimates(params: Params) -> AOptCore<Frozen> {
+        AOptCore::with_policy(params, Plain)
+    }
+}
+
+impl<P: Policy> AOptCore<P> {
+    /// Timer slot for the send trigger (Algorithm 1).
+    pub const SEND_TIMER: TimerId = TimerId(0);
+    /// Timer slot for the Algorithm 4 rate reset.
+    pub const RATE_TIMER: TimerId = TimerId(1);
+
+    pub(crate) fn with_policy(params: Params, policy: P) -> Self {
+        AOptCore {
+            params,
+            logical: LogicalClock::new(),
+            lmax: None,
+            next_multiple: 1,
+            estimates: Vec::new(),
+            arg_hi: NO_ENTRY,
+            arg_lo: NO_ENTRY,
+            sends: 0,
+            last_send_hw: f64::NEG_INFINITY,
+            policy,
         }
     }
 
@@ -163,10 +348,7 @@ impl AOpt {
     /// The maximum-clock estimate `L_v^max` when the hardware clock reads
     /// `hw` (0 before initialization).
     pub fn lmax_value(&self, hw: f64) -> f64 {
-        match self.lmax_offset {
-            Some(offset) => hw + offset,
-            None => 0.0,
-        }
+        self.lmax.map_or(0.0, |lmax| lmax.value(hw))
     }
 
     /// The estimate `L_v^w` of neighbour `w`'s clock at hardware reading
@@ -192,10 +374,10 @@ impl AOpt {
         self.sends
     }
 
-    /// The estimate value for one neighbour entry (honours the ablation
-    /// switch: frozen estimates stay at the raw `ℓ_v^w`).
-    fn estimate_value(&self, e: &NeighborEstimate, hw: f64) -> f64 {
-        if self.freeze_estimates {
+    /// The estimate value for one neighbour entry (frozen estimates stay at
+    /// the raw `ℓ_v^w`).
+    fn estimate_value(e: &NeighborEstimate, hw: f64) -> f64 {
+        if P::FROZEN {
             e.ell
         } else {
             hw + e.offset
@@ -203,15 +385,15 @@ impl AOpt {
     }
 
     /// The key the incremental Λ trackers order entries by: `offset`, or
-    /// the raw `ℓ_v^w` under [`AOpt::with_frozen_estimates`]. At any
-    /// hardware reading the estimate value is `hw + offset` (resp. `ell`
-    /// itself) — a weakly monotone function of this key — so the entry
-    /// with the largest (smallest) key realizes the maximal (minimal)
-    /// estimate, and `Λ↑`/`Λ↓` computed from the winners are **bit-for-bit**
-    /// the linear fold's values: the winning entry's contribution is the
-    /// exact expression the fold would have evaluated for it.
-    fn fold_key(&self, e: &NeighborEstimate) -> f64 {
-        if self.freeze_estimates {
+    /// the raw `ℓ_v^w` under a frozen policy. At any hardware reading the
+    /// estimate value is `hw + offset` (resp. `ell` itself) — a weakly
+    /// monotone function of this key — so the entry with the largest
+    /// (smallest) key realizes the maximal (minimal) estimate, and
+    /// `Λ↑`/`Λ↓` computed from the winners are **bit-for-bit** the linear
+    /// fold's values: the winning entry's contribution is the exact
+    /// expression the fold would have evaluated for it.
+    fn fold_key(e: &NeighborEstimate) -> f64 {
+        if P::FROZEN {
             e.ell
         } else {
             e.offset
@@ -222,9 +404,9 @@ impl AOpt {
     /// `old_key`. O(1) except when the updated entry owned a cache and
     /// moved *against* it (its decrease-path), which rescans the neighbour
     /// table — rare in steady state, making a wake O(1) amortized instead
-    /// of the old per-wake O(deg) fold.
+    /// of a per-wake O(deg) fold.
     fn note_estimate_update(&mut self, i: usize, old_key: f64) {
-        let new_key = self.fold_key(&self.estimates[i].1);
+        let new_key = Self::fold_key(&self.estimates[i].1);
         let i = i as u32;
         if self.arg_hi == NO_ENTRY {
             self.arg_hi = i;
@@ -236,14 +418,14 @@ impl AOpt {
                 self.rescan_trackers();
                 return;
             }
-        } else if new_key > self.fold_key(&self.estimates[self.arg_hi as usize].1) {
+        } else if new_key > Self::fold_key(&self.estimates[self.arg_hi as usize].1) {
             self.arg_hi = i;
         }
         if i == self.arg_lo {
             if new_key > old_key {
                 self.rescan_trackers();
             }
-        } else if new_key < self.fold_key(&self.estimates[self.arg_lo as usize].1) {
+        } else if new_key < Self::fold_key(&self.estimates[self.arg_lo as usize].1) {
             self.arg_lo = i;
         }
     }
@@ -254,7 +436,7 @@ impl AOpt {
         let (mut hi, mut lo) = (0u32, 0u32);
         let (mut hi_key, mut lo_key) = (f64::NEG_INFINITY, f64::INFINITY);
         for (idx, (_, e)) in self.estimates.iter().enumerate() {
-            let k = self.fold_key(e);
+            let k = Self::fold_key(e);
             if k > hi_key {
                 hi_key = k;
                 hi = idx as u32;
@@ -273,7 +455,7 @@ impl AOpt {
         let l = self.logical.value_at_hw(hw);
         self.estimates
             .iter()
-            .map(|(_, e)| self.estimate_value(e, hw) - l)
+            .map(|(_, e)| Self::estimate_value(e, hw) - l)
             .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
     }
 
@@ -282,14 +464,15 @@ impl AOpt {
         let l = self.logical.value_at_hw(hw);
         self.estimates
             .iter()
-            .map(|(_, e)| l - self.estimate_value(e, hw))
+            .map(|(_, e)| l - Self::estimate_value(e, hw))
             .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
     }
 
     /// `(Λ↑, Λ↓)` in O(1) from the incremental trackers — the hot-path
-    /// counterpart of [`AOpt::lambda_up`]/[`AOpt::lambda_down`], which
-    /// retain the linear scan and serve as the oracle the trackers are
-    /// property-tested against. `None` before any neighbour is heard from.
+    /// counterpart of [`AOptCore::lambda_up`]/[`AOptCore::lambda_down`],
+    /// which retain the linear scan and serve as the oracle the trackers
+    /// are property-tested against. `None` before any neighbour is heard
+    /// from.
     pub fn lambda_pair(&self, hw: f64) -> Option<(f64, f64)> {
         if self.estimates.is_empty() {
             return None;
@@ -298,16 +481,16 @@ impl AOpt {
         let hi = self.estimates[self.arg_hi as usize].1;
         let lo = self.estimates[self.arg_lo as usize].1;
         Some((
-            self.estimate_value(&hi, hw) - l,
-            l - self.estimate_value(&lo, hw),
+            Self::estimate_value(&hi, hw) - l,
+            l - Self::estimate_value(&lo, hw),
         ))
     }
 
     /// Algorithm 2, lines 5–7: adopt a larger (hence more recent) clock
-    /// value of `from` received when this node's hardware clock read `hw`,
-    /// and re-point the incremental Λ trackers. Factored out of
-    /// [`Protocol::on_message`] so tracker property tests can drive
-    /// randomized estimate-update/wake sequences without an engine.
+    /// value of `from` received when this node's hardware clock read `hw`
+    /// (any value, if the policy is not [`Policy::GUARDED`]), and re-point
+    /// the incremental Λ trackers. Public so tracker property tests can
+    /// drive randomized estimate-update/wake sequences without an engine.
     pub fn record_estimate(&mut self, from: NodeId, logical: f64, hw: f64) {
         let idx = match self.estimates.iter().position(|&(v, _)| v == from) {
             Some(i) => i,
@@ -322,36 +505,76 @@ impl AOpt {
                 self.estimates.len() - 1
             }
         };
-        let old_key = self.fold_key(&self.estimates[idx].1);
+        let old_key = Self::fold_key(&self.estimates[idx].1);
         let entry = &mut self.estimates[idx].1;
-        if logical > entry.ell {
+        if !P::GUARDED || logical > entry.ell {
             entry.ell = logical;
             entry.offset = logical - hw;
             self.note_estimate_update(idx, old_key);
         }
     }
 
-    fn broadcast(&mut self, ctx: &mut Context<'_, AOptMsg>, lmax: f64) {
-        let logical = self.logical.value_at_hw(ctx.hw());
+    /// The plain message `⟨L_v, lmax⟩` at hardware reading `hw`.
+    pub(crate) fn sync_msg(&self, hw: f64, lmax: f64) -> AOptMsg {
+        AOptMsg {
+            logical: self.logical.value_at_hw(hw),
+            lmax,
+        }
+    }
+
+    /// Counts and sends one broadcast through the policy.
+    pub(crate) fn broadcast(&mut self, ctx: &mut Context<'_, P::Msg>, lmax: f64, cause: Cause) {
         self.sends += 1;
-        ctx.send_all(AOptMsg { logical, lmax });
+        self.last_send_hw = ctx.hw();
+        P::emit(self, ctx, lmax, cause);
     }
 
     /// Re-arms the Algorithm 1 send trigger for the next multiple of `H₀`
     /// not yet reached by `L_v^max`.
-    fn schedule_send(&mut self, ctx: &mut Context<'_, AOptMsg>) {
+    fn schedule_grid(&mut self, ctx: &mut Context<'_, P::Msg>) {
         let h0 = self.params.h0();
-        let lmax = self.lmax_value(ctx.hw());
+        let hw = ctx.hw();
         // Next strictly-future multiple (tolerating FP error at an exact hit).
-        let k = (lmax / h0 + 1e-9).floor() as u64 + 1;
+        let k = (self.lmax_value(hw) / h0 + 1e-9).floor() as u64 + 1;
         self.next_multiple = k;
-        let offset = self.lmax_offset.expect("scheduled only after start");
         // L_v^max = H_v + offset reaches k·H₀ when H_v = k·H₀ − offset.
+        let Some(Lmax::Offset(offset)) = self.lmax else {
+            unreachable!("the grid trigger runs on an offset L^max")
+        };
         ctx.set_timer(Self::SEND_TIMER, k as f64 * h0 - offset);
     }
 
+    /// Arms the send timer `H₀` of hardware time from now.
+    fn rearm(&mut self, ctx: &mut Context<'_, P::Msg>) {
+        ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
+    }
+
+    /// Algorithm 2, lines 1–4 after adoption: forward the larger `lmax`
+    /// as the trigger prescribes.
+    fn forward(&mut self, ctx: &mut Context<'_, P::Msg>, lmax: f64) {
+        let hw = ctx.hw();
+        match P::TRIGGER {
+            Trigger::Grid => {
+                if P::send_due(self, hw, lmax, Cause::Forward) {
+                    self.broadcast(ctx, lmax, Cause::Forward);
+                }
+                self.schedule_grid(ctx);
+            }
+            Trigger::Periodic => self.broadcast(ctx, self.lmax_value(hw), Cause::Forward),
+            Trigger::MinGap if hw - self.last_send_hw < self.params.h0() - 1e-12 => {
+                // Too soon: the heartbeat, armed at last send + H₀, sends
+                // then with the freshest values.
+                ctx.set_timer(Self::SEND_TIMER, self.last_send_hw + self.params.h0());
+            }
+            Trigger::Heartbeat | Trigger::MinGap => {
+                self.broadcast(ctx, self.lmax_value(hw), Cause::Forward);
+                self.rearm(ctx);
+            }
+        }
+    }
+
     /// Algorithm 3: `setClockRate`.
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, AOptMsg>) {
+    fn set_clock_rate(&mut self, ctx: &mut Context<'_, P::Msg>) {
         let hw = ctx.hw();
         let l = self.logical.value_at_hw(hw);
         // Λ↑ and Λ↓ from the incrementally tracked arg-extremes instead of
@@ -371,74 +594,125 @@ impl AOpt {
             None => (0.0, 0.0),
         };
         let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(lambda_up, lambda_down, self.params.kappa(), headroom);
-        if self.jump_mode {
+        let r = clamped_increase(lambda_up, lambda_down, P::kappa(self), headroom);
+        if P::JUMP {
             if r > 0.0 {
                 self.logical.jump(hw, r);
             }
-            return;
-        }
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            let h_r = hw + r / self.params.mu();
-            self.h_r = Some(h_r);
-            ctx.set_timer(Self::RATE_TIMER, h_r);
+        } else if r > 0.0 {
+            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
+            P::apply_rate(self, ctx, 1.0 + self.params.mu());
         } else {
-            self.logical.set_multiplier(hw, 1.0);
-            self.h_r = None;
             ctx.cancel_timer(Self::RATE_TIMER);
+            P::apply_rate(self, ctx, 1.0);
         }
+    }
+
+    /// Re-anchors a damped `L_v^max` at `value` (now) with growth `scale`.
+    pub(crate) fn rebase_lmax(&mut self, hw: f64, value: f64, scale: f64) {
+        self.lmax = Some(Lmax::Scaled {
+            anchor: value,
+            anchor_hw: hw,
+            scale,
+        });
+    }
+
+    /// The growth scale of a damped `L_v^max`.
+    pub(crate) fn lmax_scale(&self) -> f64 {
+        match self.lmax {
+            Some(Lmax::Scaled { scale, .. }) => scale,
+            _ => unreachable!("a damped L^max is initialized at start"),
+        }
+    }
+
+    /// [`Policy::apply_rate`] under a damped `L_v^max`: sets the multiplier,
+    /// riding the estimate at its own scale when `L_v` has (within
+    /// floating-point slack) caught it, and arming the crossing timer
+    /// otherwise. This is where `L_v ≤ L_v^max` is kept between events.
+    pub(crate) fn apply_damped(&mut self, ctx: &mut Context<'_, P::Msg>, desired: f64) {
+        let hw = ctx.hw();
+        let scale = self.lmax_scale();
+        let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
+        if desired > scale && headroom <= 1e-12 {
+            // Riding the estimate: any faster rate would overtake it.
+            self.logical.set_multiplier(hw, scale);
+            ctx.cancel_timer(CROSS_TIMER);
+            ctx.cancel_timer(Self::RATE_TIMER);
+        } else {
+            self.logical.set_multiplier(hw, desired);
+            if desired > scale {
+                ctx.set_timer(CROSS_TIMER, hw + headroom / (desired - scale));
+            } else {
+                ctx.cancel_timer(CROSS_TIMER);
+            }
+        }
+    }
+
+    /// The crossing timer fired: `L_v` reached a damped `L_v^max`; ride it
+    /// at the estimate's scale.
+    pub(crate) fn ride_lmax(&mut self, ctx: &mut Context<'_, P::Msg>) {
+        self.logical.set_multiplier(ctx.hw(), self.lmax_scale());
+        ctx.cancel_timer(Self::RATE_TIMER);
     }
 }
 
-impl Protocol for AOpt {
-    type Msg = AOptMsg;
+impl<P: Policy> Protocol for AOptCore<P> {
+    type Msg = P::Msg;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, P::Msg>) {
         let hw = ctx.hw();
         debug_assert_eq!(hw, 0.0, "hardware clocks start at zero");
         self.logical.start(hw);
-        self.lmax_offset = Some(0.0 - hw);
+        P::init(self, ctx);
         // A node waking up by itself sends ⟨0, 0⟩ (L_v^max = 0 is the 0-th
         // multiple of H₀); a message-initialized node sends the same before
         // processing the initialization message, which subsumes the paper's
         // "trigger a sending event".
-        self.broadcast(ctx, 0.0);
-        self.schedule_send(ctx);
+        self.broadcast(ctx, 0.0, Cause::Start);
+        match P::TRIGGER {
+            Trigger::Grid => self.schedule_grid(ctx),
+            _ => self.rearm(ctx),
+        }
+        P::started(self, ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
+    fn on_message(&mut self, ctx: &mut Context<'_, P::Msg>, from: NodeId, msg: P::Msg) {
         let hw = ctx.hw();
+        let Some((logical, lmax)) = P::receive(self, ctx, from, msg) else {
+            return;
+        };
         // Algorithm 2, lines 1–4: adopt and forward a strictly larger
         // maximum-clock estimate. "Strictly larger" carries a 1e-9 slack so
         // that equal estimates reconstructed through different floating-point
         // routes are not treated as increases (which would duplicate sends).
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
-            self.lmax_offset = Some(msg.lmax - hw);
-            self.broadcast(ctx, msg.lmax);
-            self.schedule_send(ctx);
+        if lmax > self.lmax_value(hw) + 1e-9 {
+            P::adopt(self, ctx, lmax);
+            self.forward(ctx, lmax);
         }
         // Lines 5–7: adopt a larger (hence more recent) clock value of `w`.
-        self.record_estimate(from, msg.logical, hw);
+        self.record_estimate(from, logical, hw);
         // Lines 8–10: recompute skews and adjust the clock rate.
         self.set_clock_rate(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, P::Msg>, timer: TimerId) {
         match timer {
-            Self::SEND_TIMER => {
+            Self::SEND_TIMER if P::TRIGGER == Trigger::Grid => {
                 // Algorithm 1: L_v^max reached the multiple; broadcast the
                 // exact multiple to keep sent estimates on the H₀ grid.
                 let lmax = self.next_multiple as f64 * self.params.h0();
-                self.broadcast(ctx, lmax);
-                self.schedule_send(ctx);
+                if P::send_due(self, ctx.hw(), lmax, Cause::Trigger) {
+                    self.broadcast(ctx, lmax, Cause::Trigger);
+                }
+                self.schedule_grid(ctx);
             }
-            Self::RATE_TIMER => {
-                // Algorithm 4: H_v reached H_v^R.
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-                self.h_r = None;
+            Self::SEND_TIMER => {
+                self.broadcast(ctx, self.lmax_value(ctx.hw()), Cause::Trigger);
+                self.rearm(ctx);
             }
-            other => unreachable!("unknown timer slot {other:?}"),
+            // Algorithm 4: H_v reached H_v^R.
+            Self::RATE_TIMER => P::apply_rate(self, ctx, 1.0),
+            other => P::on_timer(self, ctx, other),
         }
     }
 

@@ -19,13 +19,10 @@
 //! when larger delays actually occur, the skew bounds hold with respect to
 //! the smaller delays and thus the smaller κ".
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
-use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
+use gcs_sim::Context;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt::{AOptCore, Cause, Policy, Trigger};
 use crate::Params;
 
 /// The role of an adaptive message in the round-trip measurement.
@@ -59,16 +56,125 @@ pub struct AdaptiveMsg {
     pub kind: MsgKind,
 }
 
+/// Per-neighbour probe state.
 #[derive(Debug, Clone, Default)]
-struct LinkState {
-    /// Next probe sequence number to use toward this neighbour.
+struct Link {
+    /// Last probe sequence number used toward this neighbour.
     next_seq: u64,
     /// `(seq, hw at send)` of recent unacknowledged probes.
     in_flight: Vec<(u64, f64)>,
-    /// Estimate offset `L_v^w − H_v` and the monotone guard `ℓ_v^w`.
-    offset: f64,
-    ell: f64,
-    heard: bool,
+}
+
+/// The Section 8.1 policy: probes and acks measure round trips, `𝒯̂` is
+/// flooded, and `Params` are re-derived as it grows. The send timer is a
+/// heartbeat because `H₀` itself changes with `𝒯̂`.
+#[derive(Debug, Clone)]
+pub struct Adaptive {
+    epsilon_hat: f64,
+    links: Vec<(NodeId, Link)>,
+    /// Number of times the parameters were re-derived.
+    adaptations: u64,
+}
+
+impl Adaptive {
+    fn link(&mut self, w: NodeId) -> &mut Link {
+        let i = match self.links.iter().position(|&(v, _)| v == w) {
+            Some(i) => i,
+            None => {
+                self.links.push((w, Link::default()));
+                self.links.len() - 1
+            }
+        };
+        &mut self.links[i].1
+    }
+
+    /// Re-derives the parameters for a larger delay estimate.
+    fn rederive(core: &mut AOptCore<Self>, new_t: f64) {
+        core.params = Params::recommended(core.policy.epsilon_hat, new_t)
+            .expect("adapted parameters remain valid");
+        core.policy.adaptations += 1;
+    }
+}
+
+impl Policy for Adaptive {
+    type Msg = AdaptiveMsg;
+    const TRIGGER: Trigger = Trigger::Heartbeat;
+
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AdaptiveMsg>, lmax: f64, cause: Cause) {
+        let hw = ctx.hw();
+        let logical = core.logical.value_at_hw(hw);
+        let t_hat = core.params.t_hat();
+        let msg = |kind| AdaptiveMsg {
+            logical,
+            lmax,
+            t_hat,
+            kind,
+        };
+        if cause == Cause::Forward {
+            // Estimate forwards are plain: probing them would storm acks.
+            ctx.send_all(msg(MsgKind::Plain));
+            return;
+        }
+        // Per-neighbour probes (each carries that link's seq).
+        for i in 0..ctx.neighbors().len() {
+            let w = ctx.neighbors()[i];
+            let link = core.policy.link(w);
+            link.next_seq += 1;
+            let seq = link.next_seq;
+            link.in_flight.push((seq, hw));
+            // Keep the in-flight window small; dropping stale unanswered
+            // probes is safe (closing them could only grow the estimate,
+            // and later probes will measure the same links again).
+            if link.in_flight.len() > 32 {
+                link.in_flight.remove(0);
+            }
+            ctx.send(w, msg(MsgKind::Probe { seq }));
+        }
+    }
+
+    fn receive(
+        core: &mut AOptCore<Self>,
+        ctx: &mut Context<'_, AdaptiveMsg>,
+        from: NodeId,
+        msg: AdaptiveMsg,
+    ) -> Option<(f64, f64)> {
+        let hw = ctx.hw();
+        // Adopt a *flooded* estimate verbatim: another node already holds
+        // this value, so matching it exactly converges the network.
+        if msg.t_hat > core.params.t_hat() {
+            Self::rederive(core, msg.t_hat);
+        }
+        match msg.kind {
+            MsgKind::Probe { seq } => {
+                // Acknowledge immediately; the ack carries our sync fields
+                // too (they are nearly free) but is never answered itself.
+                let ack = AdaptiveMsg {
+                    logical: core.logical.value_at_hw(hw),
+                    lmax: core.lmax_value(hw),
+                    t_hat: core.params.t_hat(),
+                    kind: MsgKind::Ack { of: seq },
+                };
+                ctx.send(from, ack);
+            }
+            MsgKind::Ack { of } => {
+                let link = core.policy.link(from);
+                if let Some(pos) = link.in_flight.iter().position(|&(s, _)| s == of) {
+                    let (_, sent_hw) = link.in_flight[pos];
+                    link.in_flight.drain(..=pos);
+                    // A single delay is at most the round trip containing it.
+                    let rtt_upper = (hw - sent_hw) / (1.0 - core.policy.epsilon_hat);
+                    // Adopt a *measured* round trip, growing at least by
+                    // doubling so the number of parameter changes stays
+                    // logarithmic in 𝒯/𝒯̂₀.
+                    if rtt_upper > core.params.t_hat() {
+                        Self::rederive(core, rtt_upper.max(2.0 * core.params.t_hat()));
+                    }
+                }
+            }
+            MsgKind::Plain => {}
+        }
+        Some((msg.logical, msg.lmax))
+    }
 }
 
 /// `A^opt` with a fully adaptive delay bound (Section 8.1).
@@ -82,24 +188,9 @@ struct LinkState {
 /// let node = AdaptiveAOpt::new(1e-2, 0.001);
 /// assert_eq!(node.t_hat(), 0.001);
 /// ```
-#[derive(Debug, Clone)]
-pub struct AdaptiveAOpt {
-    epsilon_hat: f64,
-    params: Params,
-    logical: LogicalClock,
-    lmax_offset: Option<f64>,
-    links: HashMap<NodeId, LinkState>,
-    sends: u64,
-    /// Number of times the parameters were re-derived.
-    adaptations: u64,
-}
+pub type AdaptiveAOpt = AOptCore<Adaptive>;
 
 impl AdaptiveAOpt {
-    /// Timer slot for the periodic broadcast.
-    pub const SEND_TIMER: TimerId = TimerId(0);
-    /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
-
     /// Creates a node with drift bound `epsilon_hat` and an *initial* delay
     /// estimate `t_hat_initial` (any positive value; it will grow to fit).
     ///
@@ -109,15 +200,12 @@ impl AdaptiveAOpt {
     pub fn new(epsilon_hat: f64, t_hat_initial: f64) -> Self {
         let params =
             Params::recommended(epsilon_hat, t_hat_initial).expect("invalid initial parameters");
-        AdaptiveAOpt {
+        let policy = Adaptive {
             epsilon_hat,
-            params,
-            logical: LogicalClock::new(),
-            lmax_offset: None,
-            links: HashMap::new(),
-            sends: 0,
+            links: Vec::new(),
             adaptations: 0,
-        }
+        };
+        AOptCore::with_policy(params, policy)
     }
 
     /// The current delay-bound estimate `𝒯̂`.
@@ -125,204 +213,9 @@ impl AdaptiveAOpt {
         self.params.t_hat()
     }
 
-    /// The current (adaptively derived) parameters.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
     /// How many times this node re-derived its parameters.
     pub fn adaptations(&self) -> u64 {
-        self.adaptations
-    }
-
-    /// Number of broadcasts performed.
-    pub fn sends(&self) -> u64 {
-        self.sends
-    }
-
-    /// The maximum-clock estimate at hardware reading `hw`.
-    pub fn lmax_value(&self, hw: f64) -> f64 {
-        self.lmax_offset.map_or(0.0, |o| hw + o)
-    }
-
-    /// Adopts a *flooded* estimate verbatim: another node already holds
-    /// this value, so matching it exactly converges the network.
-    fn adopt_flooded(&mut self, candidate: f64) {
-        if candidate > self.params.t_hat() {
-            self.rederive(candidate);
-        }
-    }
-
-    /// Adopts a *measured* round trip, growing at least by doubling so the
-    /// number of parameter changes stays logarithmic in `𝒯/𝒯̂₀`.
-    fn adopt_measured(&mut self, rtt_upper: f64) {
-        if rtt_upper > self.params.t_hat() {
-            self.rederive(rtt_upper.max(2.0 * self.params.t_hat()));
-        }
-    }
-
-    fn rederive(&mut self, new_t: f64) {
-        self.params =
-            Params::recommended(self.epsilon_hat, new_t).expect("adapted parameters remain valid");
-        self.adaptations += 1;
-    }
-
-    /// Sends per-neighbour probe messages (each carries that link's seq).
-    fn broadcast_probes(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
-        let hw = ctx.hw();
-        let logical = self.logical.value_at_hw(hw);
-        let lmax = self.lmax_value(hw);
-        let t_hat = self.params.t_hat();
-        self.sends += 1;
-        let neighbors: Vec<NodeId> = ctx.neighbors().to_vec();
-        for w in neighbors {
-            let link = self.links.entry(w).or_default();
-            link.next_seq += 1;
-            let seq = link.next_seq;
-            link.in_flight.push((seq, hw));
-            // Keep the in-flight window small; dropping stale unanswered
-            // probes is safe (closing them could only grow the estimate,
-            // and later probes will measure the same links again).
-            if link.in_flight.len() > 32 {
-                link.in_flight.remove(0);
-            }
-            ctx.send(
-                w,
-                AdaptiveMsg {
-                    logical,
-                    lmax,
-                    t_hat,
-                    kind: MsgKind::Probe { seq },
-                },
-            );
-        }
-    }
-
-    /// Broadcasts a plain (unprobed) sync message — used for estimate
-    /// forwards, which must not trigger ack storms.
-    fn broadcast_plain(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
-        let hw = ctx.hw();
-        self.sends += 1;
-        ctx.send_all(AdaptiveMsg {
-            logical: self.logical.value_at_hw(hw),
-            lmax: self.lmax_value(hw),
-            t_hat: self.params.t_hat(),
-            kind: MsgKind::Plain,
-        });
-    }
-
-    fn schedule_send(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
-        ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for link in self.links.values() {
-            if !link.heard {
-                continue;
-            }
-            let est = hw + link.offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
-    }
-}
-
-impl Protocol for AdaptiveAOpt {
-    type Msg = AdaptiveMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, AdaptiveMsg>) {
-        let hw = ctx.hw();
-        self.logical.start(hw);
-        self.lmax_offset = Some(0.0 - hw);
-        self.broadcast_probes(ctx);
-        self.schedule_send(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, AdaptiveMsg>, from: NodeId, msg: AdaptiveMsg) {
-        let hw = ctx.hw();
-        // --- Adaptive machinery: flooded estimate + round-trip closure. ---
-        self.adopt_flooded(msg.t_hat);
-        match msg.kind {
-            MsgKind::Probe { seq } => {
-                // Acknowledge immediately; the ack carries our sync fields
-                // too (they are nearly free) but is never answered itself.
-                ctx.send(
-                    from,
-                    AdaptiveMsg {
-                        logical: self.logical.value_at_hw(hw),
-                        lmax: self.lmax_value(hw),
-                        t_hat: self.params.t_hat(),
-                        kind: MsgKind::Ack { of: seq },
-                    },
-                );
-            }
-            MsgKind::Ack { of } => {
-                let link = self.links.entry(from).or_default();
-                if let Some(pos) = link.in_flight.iter().position(|&(s, _)| s == of) {
-                    let (_, sent_hw) = link.in_flight[pos];
-                    link.in_flight.drain(..=pos);
-                    let rtt_real_upper = (hw - sent_hw) / (1.0 - self.epsilon_hat);
-                    // A single delay is at most the round trip containing it.
-                    self.adopt_measured(rtt_real_upper);
-                }
-            }
-            MsgKind::Plain => {}
-        }
-        // --- Plain A^opt from here on. ---
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
-            self.lmax_offset = Some(msg.lmax - hw);
-            self.broadcast_plain(ctx);
-            self.schedule_send(ctx);
-        }
-        let link = self.links.entry(from).or_default();
-        if msg.logical > link.ell || !link.heard {
-            link.ell = msg.logical;
-            link.offset = msg.logical - hw;
-            link.heard = true;
-        }
-        self.set_clock_rate(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, AdaptiveMsg>, timer: TimerId) {
-        match timer {
-            Self::SEND_TIMER => {
-                self.broadcast_probes(ctx);
-                self.schedule_send(ctx);
-            }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
-            other => unreachable!("unknown timer slot {other:?}"),
-        }
-    }
-
-    fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
-    }
-
-    fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.policy.adaptations
     }
 }
 

@@ -24,13 +24,10 @@
 //! numbers travel for free). Use FIFO-preserving delay models (e.g.
 //! [`gcs_sim::ConstantDelay`]); out-of-order delivery panics.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
-use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
+use gcs_sim::Context;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt::{AOptCore, Cause, Policy};
 use crate::Params;
 
 /// The quantized differential message of [`DiscreteAOpt`].
@@ -55,10 +52,88 @@ struct Reconstruction {
     cum_units: u64,
     /// Next expected sequence number.
     next_seq: u64,
-    /// `L_v^w − H_v` estimate offset (as in `A^opt`).
-    offset: f64,
-    /// Whether at least one message has been integrated.
-    heard: bool,
+}
+
+/// The Section 6.2 policy: quantized differential encoding on the grid
+/// trigger, `κ` enlarged by two quanta, and reconstructed (monotone)
+/// values that refresh the estimate on every message.
+#[derive(Debug, Clone)]
+pub struct Discrete {
+    /// `H₀` units already announced to neighbours.
+    announced_units: u64,
+    /// Cumulative logical value already conveyed to neighbours.
+    sent_logical: f64,
+    seq: u64,
+    links: Vec<(NodeId, Reconstruction)>,
+}
+
+impl Policy for Discrete {
+    type Msg = DiscreteMsg;
+    // The reconstructed value is monotone, so it always refreshes the
+    // estimate (it plays the role of both L_w and the ℓ_v^w guard).
+    const GUARDED: bool = false;
+
+    fn kappa(core: &AOptCore<Self>) -> f64 {
+        core.params.kappa() + 2.0 * core.params.mu() * core.params.h0()
+    }
+
+    /// Encodes from the current `L_v^max` (the announced `lmax` is implied
+    /// by the unit count).
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, DiscreteMsg>, _: f64, _: Cause) {
+        let hw = ctx.hw();
+        let q = core.quantum();
+        let params = core.params;
+        let logical = core.logical.value_at_hw(hw);
+        let available_units = (core.lmax_value(hw) / params.h0() + 1e-9).floor().max(0.0) as u64;
+        let p = &mut core.policy;
+        let dl_raw = ((logical - p.sent_logical) / q).floor().max(0.0) as u32;
+        let dl = dl_raw.min(DiscreteAOpt::dl_cap(&params));
+        p.sent_logical += dl as f64 * q;
+
+        let backlog = available_units.saturating_sub(p.announced_units);
+        let dmax = backlog.min(DiscreteAOpt::dmax_cap(&params) as u64) as u32;
+        p.announced_units += dmax as u64;
+
+        let seq = p.seq;
+        p.seq += 1;
+        ctx.send_all(DiscreteMsg { dl, dmax, seq });
+    }
+
+    fn receive(
+        core: &mut AOptCore<Self>,
+        _: &mut Context<'_, DiscreteMsg>,
+        from: NodeId,
+        msg: DiscreteMsg,
+    ) -> Option<(f64, f64)> {
+        let q = core.quantum();
+        let h0 = core.params.h0();
+        let links = &mut core.policy.links;
+        let i = match links.iter().position(|&(v, _)| v == from) {
+            Some(i) => i,
+            None => {
+                let fresh = Reconstruction {
+                    cum_logical: 0.0,
+                    cum_units: 0,
+                    next_seq: 0,
+                };
+                links.push((from, fresh));
+                links.len() - 1
+            }
+        };
+        let rec = &mut links[i].1;
+        assert_eq!(
+            msg.seq, rec.next_seq,
+            "DiscreteAOpt requires FIFO links (got seq {} from {from}, expected {})",
+            msg.seq, rec.next_seq
+        );
+        rec.next_seq += 1;
+        rec.cum_logical += msg.dl as f64 * q;
+        rec.cum_units += msg.dmax as u64;
+        // A larger reconstructed L^max is forwarded immediately, as in base
+        // A^opt — but the *encoded* increment per message stays capped; any
+        // excess is carried to subsequent broadcasts (paper Section 6.2).
+        Some((rec.cum_logical, rec.cum_units as f64 * h0))
+    }
 }
 
 /// `A^opt` with the paper's low-bit-complexity message encoding.
@@ -73,42 +148,19 @@ struct Reconstruction {
 /// assert!(DiscreteAOpt::bits_per_message(&p) <= 10);
 /// # Ok::<(), gcs_core::ParamError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct DiscreteAOpt {
-    params: Params,
-    /// Effective κ: the configured κ plus two quanta of rounding slack.
-    kappa_eff: f64,
-    logical: LogicalClock,
-    lmax_offset: Option<f64>,
-    /// `H₀` units already announced to neighbours.
-    announced_units: u64,
-    /// Cumulative logical value already conveyed to neighbours.
-    sent_logical: f64,
-    seq: u64,
-    neighbors: HashMap<NodeId, Reconstruction>,
-    sends: u64,
-}
+pub type DiscreteAOpt = AOptCore<Discrete>;
 
 impl DiscreteAOpt {
-    /// Timer slot for the periodic broadcast.
-    pub const SEND_TIMER: TimerId = TimerId(0);
-    /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
-
     /// Creates a node. `κ` is internally enlarged by `2q = 2μH₀` to absorb
     /// the quantization, per the paper's remark.
     pub fn new(params: Params) -> Self {
-        DiscreteAOpt {
-            params,
-            kappa_eff: params.kappa() + 2.0 * params.mu() * params.h0(),
-            logical: LogicalClock::new(),
-            lmax_offset: None,
+        let policy = Discrete {
             announced_units: 0,
             sent_logical: 0.0,
             seq: 0,
-            neighbors: HashMap::new(),
-            sends: 0,
-        }
+            links: Vec::new(),
+        };
+        AOptCore::with_policy(params, policy)
     }
 
     /// The logical quantum `q = μ·H₀`.
@@ -132,146 +184,6 @@ impl DiscreteAOpt {
     pub fn bits_per_message(params: &Params) -> u32 {
         let bits = |cap: u32| 32 - (cap + 1).leading_zeros();
         bits(Self::dl_cap(params)) + bits(Self::dmax_cap(params))
-    }
-
-    /// Number of broadcasts performed.
-    pub fn sends(&self) -> u64 {
-        self.sends
-    }
-
-    /// The maximum-clock estimate at hardware reading `hw`.
-    pub fn lmax_value(&self, hw: f64) -> f64 {
-        self.lmax_offset.map_or(0.0, |o| hw + o)
-    }
-
-    /// Re-arms the Algorithm 1 send trigger for the next multiple of `H₀`
-    /// not yet reached by `L_v^max` (same trigger as base `A^opt`).
-    fn schedule_send(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
-        let h0 = self.params.h0();
-        let lmax = self.lmax_value(ctx.hw());
-        let k = (lmax / h0 + 1e-9).floor() + 1.0;
-        let offset = self.lmax_offset.expect("scheduled only after start");
-        ctx.set_timer(Self::SEND_TIMER, k * h0 - offset);
-    }
-
-    fn broadcast(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
-        let hw = ctx.hw();
-        let q = self.quantum();
-        let logical = self.logical.value_at_hw(hw);
-        let dl_raw = ((logical - self.sent_logical) / q).floor().max(0.0) as u32;
-        let dl = dl_raw.min(Self::dl_cap(&self.params));
-        self.sent_logical += dl as f64 * q;
-
-        let h0 = self.params.h0();
-        let available_units = (self.lmax_value(hw) / h0 + 1e-9).floor().max(0.0) as u64;
-        let backlog = available_units.saturating_sub(self.announced_units);
-        let dmax = backlog.min(Self::dmax_cap(&self.params) as u64) as u32;
-        self.announced_units += dmax as u64;
-
-        let seq = self.seq;
-        self.seq += 1;
-        self.sends += 1;
-        ctx.send_all(DiscreteMsg { dl, dmax, seq });
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for rec in self.neighbors.values() {
-            if !rec.heard {
-                continue;
-            }
-            let est = hw + rec.offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.kappa_eff, headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
-    }
-}
-
-impl Protocol for DiscreteAOpt {
-    type Msg = DiscreteMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, DiscreteMsg>) {
-        let hw = ctx.hw();
-        self.logical.start(hw);
-        self.lmax_offset = Some(0.0 - hw);
-        self.broadcast(ctx);
-        self.schedule_send(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, DiscreteMsg>, from: NodeId, msg: DiscreteMsg) {
-        let hw = ctx.hw();
-        let q = self.quantum();
-        let h0 = self.params.h0();
-        let rec = self.neighbors.entry(from).or_insert(Reconstruction {
-            cum_logical: 0.0,
-            cum_units: 0,
-            next_seq: 0,
-            offset: f64::NEG_INFINITY,
-            heard: false,
-        });
-        assert_eq!(
-            msg.seq, rec.next_seq,
-            "DiscreteAOpt requires FIFO links (got seq {} from {from}, expected {})",
-            msg.seq, rec.next_seq
-        );
-        rec.next_seq += 1;
-        rec.cum_logical += msg.dl as f64 * q;
-        rec.cum_units += msg.dmax as u64;
-        // The reconstructed value is monotone, so it always refreshes the
-        // estimate (it plays the role of both L_w and the ℓ_v^w guard).
-        rec.offset = rec.cum_logical - hw;
-        rec.heard = true;
-        let candidate_lmax = rec.cum_units as f64 * h0;
-        if candidate_lmax > self.lmax_value(hw) + 1e-9 {
-            self.lmax_offset = Some(candidate_lmax - hw);
-            // Forward immediately, as in base A^opt — but the *encoded*
-            // increment per message stays capped; any excess is carried to
-            // subsequent broadcasts (paper Section 6.2).
-            self.broadcast(ctx);
-            self.schedule_send(ctx);
-        }
-        self.set_clock_rate(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, DiscreteMsg>, timer: TimerId) {
-        match timer {
-            Self::SEND_TIMER => {
-                self.broadcast(ctx);
-                self.schedule_send(ctx);
-            }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
-            other => unreachable!("unknown timer slot {other:?}"),
-        }
-    }
-
-    fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
-    }
-
-    fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
     }
 }
 
@@ -352,17 +264,14 @@ mod tests {
         engine.run_until_observed(100.0, |e| {
             let hw0 = e.hardware_value(NodeId(0));
             let node0 = e.protocol(NodeId(0));
-            if let Some(rec) = node0.neighbors.get(&NodeId(1)) {
-                if rec.heard {
-                    let est = hw0 + rec.offset;
-                    let actual = e.logical_value(NodeId(1));
-                    // Conservative: estimate never overtakes the truth…
-                    assert!(est <= actual + 1e-9);
-                    // …and is fresh to within delay + send period + quanta.
-                    let staleness_allowance =
-                        (1.0 + p.mu()) * (0.02 + p.h0() / 0.99) + 2.0 * q + 0.1;
-                    assert!(actual - est <= staleness_allowance);
-                }
+            if let Some(est) = node0.neighbor_estimate(NodeId(1), hw0) {
+                let actual = e.logical_value(NodeId(1));
+                // Conservative: estimate never overtakes the truth…
+                assert!(est <= actual + 1e-9);
+                // …and is fresh to within delay + send period + quanta.
+                let staleness_allowance =
+                    (1.0 + p.mu()) * (0.02 + p.h0() / 0.99) + 2.0 * q + 0.1;
+                assert!(actual - est <= staleness_allowance);
             }
         });
     }

@@ -17,14 +17,84 @@
 //! multiplier never drops below 1 except while riding the (larger)
 //! estimate, so `L_v ≥ H_v ≥ min_w H_w`.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
-use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
+use gcs_sim::{Context, TimerId};
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt::{AOptCore, Cause, Policy, Trigger, CROSS_TIMER};
 use crate::{AOptMsg, Params};
+
+/// The Section 8.6 policy: a damped `L_v^max` floored at `H_v`, sent
+/// periodically (a damped estimate is off the `H₀` grid).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Envelope;
+
+impl Policy for Envelope {
+    type Msg = AOptMsg;
+    const TRIGGER: Trigger = Trigger::Periodic;
+
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64, _: Cause) {
+        ctx.send_all(core.sync_msg(ctx.hw(), lmax));
+    }
+
+    fn receive(
+        _: &mut AOptCore<Self>,
+        _: &mut Context<'_, AOptMsg>,
+        _: NodeId,
+        msg: AOptMsg,
+    ) -> Option<(f64, f64)> {
+        Some((msg.logical, msg.lmax))
+    }
+
+    fn init(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>) {
+        core.rebase_lmax(ctx.hw(), 0.0, 1.0);
+    }
+
+    fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64) {
+        core.rebase_lmax(ctx.hw(), lmax, 1.0);
+        retune_lmax(core, ctx);
+    }
+
+    fn apply_rate(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, desired: f64) {
+        core.apply_damped(ctx, desired);
+    }
+
+    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
+        match timer {
+            CROSS_TIMER => core.ride_lmax(ctx),
+            EnvelopeAOpt::MAX_CROSS_TIMER => {
+                // H_v caught the damped estimate: L^max rides H_v again.
+                retune_lmax(core, ctx);
+                // If L was riding L^max, it must pick up the new scale.
+                let hw = ctx.hw();
+                let headroom = core.lmax_value(hw) - core.logical.value_at_hw(hw);
+                if headroom <= 1e-12 {
+                    core.logical.set_multiplier(hw, core.lmax_scale());
+                }
+            }
+            other => unreachable!("unknown timer slot {other:?}"),
+        }
+    }
+}
+
+/// Chooses the estimate's growth scale for its current position relative
+/// to `H_v`, re-anchoring it and arming the `L^max = H` crossing timer when
+/// the damped estimate will be caught by the hardware clock.
+fn retune_lmax(core: &mut AOptCore<Envelope>, ctx: &mut Context<'_, AOptMsg>) {
+    let hw = ctx.hw();
+    let value = core.lmax_value(hw).max(hw); // L^max ≥ H_v invariant
+    let above = value > hw + 1e-12;
+    let eps = core.params.epsilon_hat();
+    let scale = if above { (1.0 - eps) / (1.0 + eps) } else { 1.0 };
+    core.rebase_lmax(hw, value, scale);
+    if above {
+        // H grows at rate 1·h, the estimate at scale·h < h: they meet at
+        // hw* with value + (hw* − hw)·scale = hw*.
+        let cross = (value - hw * scale) / (1.0 - scale);
+        ctx.set_timer(EnvelopeAOpt::MAX_CROSS_TIMER, cross);
+    } else {
+        ctx.cancel_timer(EnvelopeAOpt::MAX_CROSS_TIMER);
+    }
+}
 
 /// `A^opt` under the sharpened hardware-envelope condition of Section 8.6.
 ///
@@ -50,228 +120,18 @@ use crate::{AOptMsg, Params};
 /// }
 /// # Ok::<(), gcs_core::ParamError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct EnvelopeAOpt {
-    params: Params,
-    logical: LogicalClock,
-    /// `L_v^max` anchored on the hardware clock with a time-varying scale.
-    lmax: Option<Scaled>,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
-    sends: u64,
-}
-
-/// A value `anchor + (hw − anchor_hw)·scale`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Scaled {
-    anchor: f64,
-    anchor_hw: f64,
-    scale: f64,
-}
-
-impl Scaled {
-    fn value(&self, hw: f64) -> f64 {
-        self.anchor + (hw - self.anchor_hw) * self.scale
-    }
-
-    fn rebase(&mut self, hw: f64, value: f64, scale: f64) {
-        self.anchor = value;
-        self.anchor_hw = hw;
-        self.scale = scale;
-    }
-}
+pub type EnvelopeAOpt = AOptCore<Envelope>;
 
 impl EnvelopeAOpt {
-    /// Timer slot for the periodic broadcast.
-    pub const SEND_TIMER: TimerId = TimerId(0);
-    /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
     /// Timer slot for the `L_v = L_v^max` crossing.
-    pub const CROSS_TIMER: TimerId = TimerId(2);
+    pub const CROSS_TIMER: TimerId = CROSS_TIMER;
     /// Timer slot for the `L_v^max = H_v` crossing (switch the estimate
     /// back to the full hardware rate).
     pub const MAX_CROSS_TIMER: TimerId = TimerId(3);
 
     /// Creates a node.
     pub fn new(params: Params) -> Self {
-        EnvelopeAOpt {
-            params,
-            logical: LogicalClock::new(),
-            lmax: None,
-            estimates: HashMap::new(),
-            sends: 0,
-        }
-    }
-
-    /// Number of broadcasts performed.
-    pub fn sends(&self) -> u64 {
-        self.sends
-    }
-
-    /// The damped estimate scale `(1 − ε̂)/(1 + ε̂)`.
-    fn damped(&self) -> f64 {
-        (1.0 - self.params.epsilon_hat()) / (1.0 + self.params.epsilon_hat())
-    }
-
-    /// The maximum-clock estimate at hardware reading `hw`.
-    pub fn lmax_value(&self, hw: f64) -> f64 {
-        self.lmax.map_or(0.0, |s| s.value(hw))
-    }
-
-    fn broadcast(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        self.sends += 1;
-        ctx.send_all(AOptMsg {
-            logical: self.logical.value_at_hw(hw),
-            lmax: self.lmax_value(hw),
-        });
-    }
-
-    /// Chooses the estimate's growth scale for its current position
-    /// relative to `H_v`, re-anchoring it and arming the `L^max = H`
-    /// crossing timer when the damped estimate will be caught by the
-    /// hardware clock.
-    fn retune_lmax(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        let value = self.lmax_value(hw).max(hw); // L^max ≥ H_v invariant
-        let above = value > hw + 1e-12;
-        let scale = if above { self.damped() } else { 1.0 };
-        self.lmax
-            .as_mut()
-            .expect("initialized at start")
-            .rebase(hw, value, scale);
-        if above {
-            // H grows at rate 1·h, the estimate at scale·h < h: they meet at
-            // hw* with value + (hw* − hw)·scale = hw*.
-            let cross = (value - hw * scale) / (1.0 - scale);
-            ctx.set_timer(Self::MAX_CROSS_TIMER, cross);
-        } else {
-            ctx.cancel_timer(Self::MAX_CROSS_TIMER);
-        }
-    }
-
-    /// Sets the logical multiplier, never letting `L_v` overtake `L_v^max`
-    /// (same device as the external variant).
-    fn apply_multiplier(&mut self, ctx: &mut Context<'_, AOptMsg>, desired: f64) {
-        let hw = ctx.hw();
-        let scale = self.lmax.expect("initialized at start").scale;
-        let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
-        if desired > scale && headroom <= 1e-12 {
-            self.logical.set_multiplier(hw, scale);
-            ctx.cancel_timer(Self::CROSS_TIMER);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        } else {
-            self.logical.set_multiplier(hw, desired);
-            if desired > scale {
-                ctx.set_timer(Self::CROSS_TIMER, hw + headroom / (desired - scale));
-            } else {
-                ctx.cancel_timer(Self::CROSS_TIMER);
-            }
-        }
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-            self.apply_multiplier(ctx, 1.0 + self.params.mu());
-        } else {
-            ctx.cancel_timer(Self::RATE_TIMER);
-            self.apply_multiplier(ctx, 1.0);
-        }
-    }
-}
-
-impl Protocol for EnvelopeAOpt {
-    type Msg = AOptMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        self.logical.start(hw);
-        self.lmax = Some(Scaled {
-            anchor: 0.0,
-            anchor_hw: hw,
-            scale: 1.0,
-        });
-        self.broadcast(ctx);
-        ctx.set_timer(Self::SEND_TIMER, hw + self.params.h0());
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
-        let hw = ctx.hw();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
-            self.lmax
-                .as_mut()
-                .expect("initialized at start")
-                .rebase(hw, msg.lmax, 1.0);
-            self.retune_lmax(ctx);
-            self.broadcast(ctx);
-        }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
-        self.set_clock_rate(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
-        match timer {
-            Self::SEND_TIMER => {
-                self.broadcast(ctx);
-                ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
-            }
-            Self::RATE_TIMER => {
-                self.apply_multiplier(ctx, 1.0);
-            }
-            Self::CROSS_TIMER => {
-                // L caught L^max: ride it at the estimate's own scale.
-                let scale = self.lmax.expect("initialized at start").scale;
-                self.logical.set_multiplier(ctx.hw(), scale);
-                ctx.cancel_timer(Self::RATE_TIMER);
-            }
-            Self::MAX_CROSS_TIMER => {
-                // H_v caught the damped estimate: L^max rides H_v again.
-                self.retune_lmax(ctx);
-                // If L was riding L^max, it must pick up the new scale.
-                let hw = ctx.hw();
-                let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
-                if headroom <= 1e-12 {
-                    self.logical
-                        .set_multiplier(hw, self.lmax.expect("initialized").scale);
-                }
-            }
-            other => unreachable!("unknown timer slot {other:?}"),
-        }
-    }
-
-    fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
-    }
-
-    fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        AOptCore::with_policy(params, Envelope)
     }
 }
 

@@ -12,13 +12,10 @@
 //! rate whenever `L_v = L_v^max`. Larger received estimates are still
 //! adopted and flooded, so nodes catch up quickly.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
-use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
+use gcs_sim::{Context, TimerId};
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt::{AOptCore, Cause, Policy, Trigger, CROSS_TIMER};
 use crate::Params;
 
 /// The synchronization message `⟨L_v, L_v^max⟩` of the external variant.
@@ -30,23 +27,59 @@ pub struct ExternalMsg {
     pub lmax: f64,
 }
 
-/// A value advancing at `scale · h_v` — represented by an anchor so it can
-/// be evaluated lazily against the hardware clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ScaledValue {
-    anchor: f64,
-    anchor_hw: f64,
-    scale: f64,
+/// The Section 8.5 policy: `L_v^max` damped by `1/(1 + ε̂)`, sent
+/// periodically (a damped estimate is off the `H₀` grid). The reference
+/// announces its own clock and ignores what it receives.
+#[derive(Debug, Clone, Copy)]
+pub struct External {
+    is_reference: bool,
 }
 
-impl ScaledValue {
-    fn value(&self, hw: f64) -> f64 {
-        self.anchor + (hw - self.anchor_hw) * self.scale
+impl Policy for External {
+    type Msg = ExternalMsg;
+    const TRIGGER: Trigger = Trigger::Periodic;
+
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, lmax: f64, _: Cause) {
+        let logical = core.logical.value_at_hw(ctx.hw());
+        let lmax = if core.policy.is_reference {
+            logical
+        } else {
+            lmax
+        };
+        ctx.send_all(ExternalMsg { logical, lmax });
     }
 
-    fn set(&mut self, hw: f64, value: f64) {
-        self.anchor = value;
-        self.anchor_hw = hw;
+    fn receive(
+        core: &mut AOptCore<Self>,
+        _: &mut Context<'_, ExternalMsg>,
+        _: NodeId,
+        msg: ExternalMsg,
+    ) -> Option<(f64, f64)> {
+        // The reference never adjusts.
+        (!core.policy.is_reference).then_some((msg.logical, msg.lmax))
+    }
+
+    fn init(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>) {
+        if !core.policy.is_reference {
+            let hw = ctx.hw();
+            let scale = 1.0 / (1.0 + core.params.epsilon_hat());
+            core.rebase_lmax(hw, 0.0, scale);
+            // Start damped: L = L^max = 0 and the estimate must lead.
+            core.logical.set_multiplier(hw, scale);
+        }
+    }
+
+    fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, lmax: f64) {
+        core.rebase_lmax(ctx.hw(), lmax, core.lmax_scale());
+    }
+
+    fn apply_rate(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, desired: f64) {
+        core.apply_damped(ctx, desired);
+    }
+
+    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, timer: TimerId) {
+        assert_eq!(timer, CROSS_TIMER, "unknown timer slot {timer:?}");
+        core.ride_lmax(ctx);
     }
 }
 
@@ -78,201 +111,31 @@ impl ScaledValue {
 /// }
 /// # Ok::<(), gcs_core::ParamError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ExternalAOpt {
-    params: Params,
-    is_reference: bool,
-    logical: LogicalClock,
-    lmax: Option<ScaledValue>,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
-    sends: u64,
-}
+pub type ExternalAOpt = AOptCore<External>;
 
 impl ExternalAOpt {
-    /// Timer slot for the periodic broadcast.
-    pub const SEND_TIMER: TimerId = TimerId(0);
-    /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
     /// Timer slot for the `L_v = L_v^max` crossing (fall back to the damped
     /// rate so the estimate is never overtaken).
-    pub const CROSS_TIMER: TimerId = TimerId(2);
+    pub const CROSS_TIMER: TimerId = CROSS_TIMER;
 
     /// Creates a non-reference node.
     pub fn new(params: Params) -> Self {
-        ExternalAOpt {
+        AOptCore::with_policy(
             params,
-            is_reference: false,
-            logical: LogicalClock::new(),
-            lmax: None,
-            estimates: HashMap::new(),
-            sends: 0,
-        }
+            External {
+                is_reference: false,
+            },
+        )
     }
 
     /// Creates the reference node (run its hardware clock at rate 1).
     pub fn reference(params: Params) -> Self {
-        ExternalAOpt {
-            is_reference: true,
-            ..Self::new(params)
-        }
+        AOptCore::with_policy(params, External { is_reference: true })
     }
 
     /// Whether this node is the real-time reference.
     pub fn is_reference(&self) -> bool {
-        self.is_reference
-    }
-
-    /// Number of broadcasts performed.
-    pub fn sends(&self) -> u64 {
-        self.sends
-    }
-
-    /// The damped estimate-growth scale `1/(1 + ε̂)`.
-    fn scale(&self) -> f64 {
-        1.0 / (1.0 + self.params.epsilon_hat())
-    }
-
-    /// The real-time estimate `L_v^max` at hardware reading `hw`.
-    pub fn lmax_value(&self, hw: f64) -> f64 {
-        self.lmax.map_or(0.0, |s| s.value(hw))
-    }
-
-    fn broadcast(&mut self, ctx: &mut Context<'_, ExternalMsg>) {
-        let hw = ctx.hw();
-        let logical = self.logical.value_at_hw(hw);
-        let lmax = if self.is_reference {
-            logical
-        } else {
-            self.lmax_value(hw)
-        };
-        self.sends += 1;
-        ctx.send_all(ExternalMsg { logical, lmax });
-    }
-
-    fn schedule_send(&mut self, ctx: &mut Context<'_, ExternalMsg>) {
-        ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
-    }
-
-    /// Sets the logical multiplier, damping to the estimate's own rate when
-    /// `L_v` has (within floating-point slack) caught `L_v^max`, and arming
-    /// the crossing timer otherwise. This is the single place the invariant
-    /// `L_v ≤ L_v^max` is enforced between events.
-    fn apply_multiplier(&mut self, ctx: &mut Context<'_, ExternalMsg>, desired: f64) {
-        let hw = ctx.hw();
-        let scale = self.scale();
-        let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
-        if desired > scale && headroom <= 1e-12 {
-            // Riding the estimate: any faster rate would overtake it.
-            self.logical.set_multiplier(hw, scale);
-            ctx.cancel_timer(Self::CROSS_TIMER);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        } else {
-            self.logical.set_multiplier(hw, desired);
-            if desired > scale {
-                ctx.set_timer(Self::CROSS_TIMER, hw + headroom / (desired - scale));
-            } else {
-                ctx.cancel_timer(Self::CROSS_TIMER);
-            }
-        }
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, ExternalMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-            self.apply_multiplier(ctx, 1.0 + self.params.mu());
-        } else {
-            ctx.cancel_timer(Self::RATE_TIMER);
-            self.apply_multiplier(ctx, 1.0);
-        }
-    }
-}
-
-impl Protocol for ExternalAOpt {
-    type Msg = ExternalMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, ExternalMsg>) {
-        let hw = ctx.hw();
-        self.logical.start(hw);
-        if !self.is_reference {
-            self.lmax = Some(ScaledValue {
-                anchor: 0.0,
-                anchor_hw: hw,
-                scale: self.scale(),
-            });
-            // Start damped: L = L^max = 0 and the estimate must lead.
-            self.logical.set_multiplier(hw, self.scale());
-        }
-        self.broadcast(ctx);
-        self.schedule_send(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, ExternalMsg>, from: NodeId, msg: ExternalMsg) {
-        if self.is_reference {
-            return; // the reference never adjusts
-        }
-        let hw = ctx.hw();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
-            self.lmax
-                .as_mut()
-                .expect("initialized at start")
-                .set(hw, msg.lmax);
-            self.broadcast(ctx);
-        }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
-        self.set_clock_rate(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, ExternalMsg>, timer: TimerId) {
-        match timer {
-            Self::SEND_TIMER => {
-                self.broadcast(ctx);
-                self.schedule_send(ctx);
-            }
-            Self::RATE_TIMER => {
-                self.apply_multiplier(ctx, 1.0);
-            }
-            Self::CROSS_TIMER => {
-                // L reached L^max: ride it at the damped rate.
-                self.logical.set_multiplier(ctx.hw(), self.scale());
-                ctx.cancel_timer(Self::RATE_TIMER);
-            }
-            other => unreachable!("unknown timer slot {other:?}"),
-        }
-    }
-
-    fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
-    }
-
-    fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.policy.is_reference
     }
 }
 

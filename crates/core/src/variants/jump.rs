@@ -1,9 +1,7 @@
 //! The unbounded-rate (`β = ∞`) variant.
 
-use gcs_graph::NodeId;
-use gcs_sim::{Context, Protocol, TimerId};
-
-use crate::{AOpt, AOptMsg, Params};
+use crate::aopt::{AOptCore, Jump};
+use crate::Params;
 
 /// `A^opt` with instantaneous clock jumps.
 ///
@@ -25,53 +23,25 @@ use crate::{AOpt, AOptMsg, Params};
 /// assert_eq!(node.inner().params().sigma(), 2);
 /// # Ok::<(), gcs_core::ParamError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct AOptJump {
-    inner: AOpt,
-}
+pub type AOptJump = AOptCore<Jump>;
 
 impl AOptJump {
     /// Creates a node with the given parameters.
     pub fn new(params: Params) -> Self {
-        let mut inner = AOpt::new(params);
-        inner.jump_mode = true;
-        AOptJump { inner }
+        AOptCore::with_policy(params, Jump::default())
     }
 
-    /// Access to the shared `A^opt` state (estimates, counters, parameters).
-    pub fn inner(&self) -> &AOpt {
-        &self.inner
-    }
-}
-
-impl Protocol for AOptJump {
-    type Msg = AOptMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        self.inner.on_start(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
-        self.inner.on_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
-        self.inner.on_timer(ctx, timer);
-    }
-
-    fn logical_value(&self, hw: f64) -> f64 {
-        self.inner.logical_value(hw)
-    }
-
-    fn rate_multiplier(&self) -> f64 {
-        self.inner.rate_multiplier()
+    /// The shared `A^opt` state (estimates, counters, parameters). The jump
+    /// variant *is* the core with the [`Jump`] policy, so this is `self`.
+    pub fn inner(&self) -> &Self {
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_graph::topology;
+    use gcs_graph::{topology, NodeId};
     use gcs_sim::{ConstantDelay, Engine};
     use gcs_time::RateSchedule;
 

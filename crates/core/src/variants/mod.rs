@@ -1,4 +1,5 @@
-//! Model variants of `A^opt` (paper Section 8 and remarks).
+//! Model variants of `A^opt` (paper Section 8 and remarks): one
+//! [`Policy`](crate::Policy) each on the shared [`AOptCore`](crate::AOptCore).
 
 mod adaptive;
 mod discrete;
@@ -9,11 +10,11 @@ mod min_gap;
 mod offset;
 mod piggyback;
 
-pub use adaptive::{AdaptiveAOpt, AdaptiveMsg, MsgKind};
-pub use discrete::{DiscreteAOpt, DiscreteMsg};
-pub use envelope::EnvelopeAOpt;
-pub use external::{ExternalAOpt, ExternalMsg};
+pub use adaptive::{Adaptive, AdaptiveAOpt, AdaptiveMsg, MsgKind};
+pub use discrete::{Discrete, DiscreteAOpt, DiscreteMsg};
+pub use envelope::{Envelope, EnvelopeAOpt};
+pub use external::{External, ExternalAOpt, ExternalMsg};
 pub use jump::AOptJump;
-pub use min_gap::MinGapAOpt;
-pub use offset::OffsetAOpt;
-pub use piggyback::{PiggybackAOpt, PiggybackMsg};
+pub use min_gap::{MinGap, MinGapAOpt};
+pub use offset::{Offset, OffsetAOpt};
+pub use piggyback::{Piggyback, PiggybackAOpt, PiggybackMsg};

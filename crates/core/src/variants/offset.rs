@@ -8,14 +8,37 @@
 //! time), as the paper suggests; strictly larger maximum estimates are still
 //! flooded immediately.
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
-use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
+use gcs_sim::Context;
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt::{AOptCore, Cause, Policy, Trigger};
 use crate::{AOptMsg, Params};
+
+/// The Section 8.3 policy: received values compensated by `(1 − ε̂)·𝒯₁`,
+/// sent periodically.
+#[derive(Debug, Clone, Copy)]
+pub struct Offset {
+    t1: f64,
+}
+
+impl Policy for Offset {
+    type Msg = AOptMsg;
+    const TRIGGER: Trigger = Trigger::Periodic;
+
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64, _: Cause) {
+        ctx.send_all(core.sync_msg(ctx.hw(), lmax));
+    }
+
+    fn receive(
+        core: &mut AOptCore<Self>,
+        _: &mut Context<'_, AOptMsg>,
+        _: NodeId,
+        msg: AOptMsg,
+    ) -> Option<(f64, f64)> {
+        let c = core.compensation();
+        Some((msg.logical + c, msg.lmax + c))
+    }
+}
 
 /// `A^opt` adapted for delays in `[𝒯₁, 𝒯₂]`.
 ///
@@ -33,22 +56,9 @@ use crate::{AOptMsg, Params};
 /// assert_eq!(node.t1(), 0.9);
 /// # Ok::<(), gcs_core::ParamError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct OffsetAOpt {
-    params: Params,
-    t1: f64,
-    logical: LogicalClock,
-    lmax_offset: Option<f64>,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
-    sends: u64,
-}
+pub type OffsetAOpt = AOptCore<Offset>;
 
 impl OffsetAOpt {
-    /// Timer slot for the periodic broadcast.
-    pub const SEND_TIMER: TimerId = TimerId(0);
-    /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
-
     /// Creates a node that assumes every delay is at least `t1`.
     ///
     /// # Panics
@@ -56,125 +66,17 @@ impl OffsetAOpt {
     /// Panics if `t1` is negative or non-finite.
     pub fn new(params: Params, t1: f64) -> Self {
         assert!(t1.is_finite() && t1 >= 0.0, "invalid delay floor {t1}");
-        OffsetAOpt {
-            params,
-            t1,
-            logical: LogicalClock::new(),
-            lmax_offset: None,
-            estimates: HashMap::new(),
-            sends: 0,
-        }
+        AOptCore::with_policy(params, Offset { t1 })
     }
 
     /// The known delay floor `𝒯₁`.
     pub fn t1(&self) -> f64 {
-        self.t1
-    }
-
-    /// Number of broadcasts performed.
-    pub fn sends(&self) -> u64 {
-        self.sends
+        self.policy.t1
     }
 
     /// The receive-side compensation `(1 − ε̂)·𝒯₁` added to received values.
-    fn compensation(&self) -> f64 {
-        (1.0 - self.params.epsilon_hat()) * self.t1
-    }
-
-    /// The maximum-clock estimate at hardware reading `hw`.
-    pub fn lmax_value(&self, hw: f64) -> f64 {
-        self.lmax_offset.map_or(0.0, |o| hw + o)
-    }
-
-    fn broadcast(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        self.sends += 1;
-        ctx.send_all(AOptMsg {
-            logical: self.logical.value_at_hw(hw),
-            lmax: self.lmax_value(hw),
-        });
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
-    }
-}
-
-impl Protocol for OffsetAOpt {
-    type Msg = AOptMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
-        let hw = ctx.hw();
-        self.logical.start(hw);
-        self.lmax_offset = Some(0.0 - hw);
-        self.broadcast(ctx);
-        ctx.set_timer(Self::SEND_TIMER, hw + self.params.h0());
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
-        let hw = ctx.hw();
-        let adjusted_logical = msg.logical + self.compensation();
-        let adjusted_lmax = msg.lmax + self.compensation();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if adjusted_lmax > self.lmax_value(hw) + 1e-9 {
-            self.lmax_offset = Some(adjusted_lmax - hw);
-            self.broadcast(ctx);
-        }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if adjusted_logical > entry.1 {
-            entry.1 = adjusted_logical;
-            entry.0 = adjusted_logical - hw;
-        }
-        self.set_clock_rate(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
-        match timer {
-            Self::SEND_TIMER => {
-                self.broadcast(ctx);
-                ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
-            }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
-            other => unreachable!("unknown timer slot {other:?}"),
-        }
-    }
-
-    fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
-    }
-
-    fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+    pub fn compensation(&self) -> f64 {
+        (1.0 - self.params.epsilon_hat()) * self.policy.t1
     }
 }
 
@@ -247,8 +149,7 @@ mod tests {
             for (v, w) in [(0usize, 1usize), (1, 0)] {
                 let hw = e.hardware_value(NodeId(v));
                 let node = e.protocol(NodeId(v));
-                if let Some((offset, _)) = node.estimates.get(&NodeId(w)) {
-                    let est = hw + offset;
+                if let Some(est) = node.neighbor_estimate(NodeId(w), hw) {
                     let actual = e.logical_value(NodeId(w));
                     assert!(
                         est <= actual + 1e-9,

@@ -12,13 +12,10 @@
 //! falls toward zero once the application chatter is denser than `1/H₀`
 //! (experiment T3).
 
-use std::collections::HashMap;
-
 use gcs_graph::NodeId;
-use gcs_sim::{Context, Protocol, TimerId};
-use gcs_time::LogicalClock;
+use gcs_sim::{Context, TimerId};
 
-use crate::rate_rule::clamped_increase;
+use crate::aopt::{AOptCore, Cause, Policy};
 use crate::Params;
 
 /// A message of the piggybacking variant: the application payload slot plus
@@ -34,6 +31,93 @@ pub struct PiggybackMsg {
     pub is_app: bool,
 }
 
+/// The piggybacking policy: the grid trigger, skipped under application
+/// cover, plus the application's own traffic.
+#[derive(Debug, Clone, Copy)]
+pub struct Piggyback {
+    /// Mean application inter-send gap in hardware units.
+    app_mean_gap: f64,
+    /// xorshift64 state for the application jitter (deterministic per seed).
+    rng: u64,
+    /// Hardware reading at which the next application message departs.
+    next_app_hw: f64,
+    piggybacked: u64,
+}
+
+impl Piggyback {
+    fn next_app_gap(&mut self) -> f64 {
+        // xorshift64: cheap, deterministic, good enough for jitter.
+        let mut x = self.rng;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.rng = x;
+        let frac = (x >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+        self.app_mean_gap * (0.5 + frac)
+    }
+
+    /// Schedules the next application message.
+    fn arm_app(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>) {
+        let hw = ctx.hw();
+        let gap = core.policy.next_app_gap();
+        core.policy.next_app_hw = hw + gap;
+        ctx.set_timer(PiggybackAOpt::APP_TIMER, hw + gap);
+    }
+}
+
+impl Policy for Piggyback {
+    type Msg = PiggybackMsg;
+
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>, lmax: f64, cause: Cause) {
+        ctx.send_all(PiggybackMsg {
+            logical: core.logical.value_at_hw(ctx.hw()),
+            lmax,
+            is_app: cause == Cause::App,
+        });
+    }
+
+    fn receive(
+        _: &mut AOptCore<Self>,
+        _: &mut Context<'_, PiggybackMsg>,
+        _: NodeId,
+        msg: PiggybackMsg,
+    ) -> Option<(f64, f64)> {
+        Some((msg.logical, msg.lmax))
+    }
+
+    fn send_due(core: &AOptCore<Self>, hw: f64, lmax: f64, cause: Cause) -> bool {
+        let h0 = core.params.h0();
+        let app_cover = core.policy.next_app_hw - hw <= h0;
+        if cause == Cause::Forward {
+            // Unlike plain A^opt, incoming estimates are not confined to the
+            // H₀ grid (application messages carry continuous values), so
+            // forwarding every adoption would storm. Forward dedicated only
+            // when the adoption crosses a new H₀ multiple — plain A^opt's
+            // effective forwarding rate — and skip even that when an
+            // application message departs within the next H₀ anyway (the
+            // deferral costs 𝒪(H₀) of propagation latency per hop, the same
+            // trade-off as the Section 6.1 minimum-gap variant).
+            let k_new = (lmax / h0 + 1e-9).floor() as u64;
+            k_new >= core.next_multiple && !app_cover
+        } else {
+            // Skip the dedicated send if an application message carried
+            // the sync fields recently or will do so shortly.
+            !(hw - core.last_send_hw < h0 || app_cover)
+        }
+    }
+
+    fn started(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>) {
+        Self::arm_app(core, ctx);
+    }
+
+    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>, timer: TimerId) {
+        assert_eq!(timer, PiggybackAOpt::APP_TIMER, "unknown timer slot {timer:?}");
+        core.policy.piggybacked += 1;
+        core.broadcast(ctx, core.lmax_value(ctx.hw()), Cause::App);
+        Self::arm_app(core, ctx);
+    }
+}
+
 /// `A^opt` with its messages piggybacked on application traffic.
 ///
 /// # Example
@@ -47,29 +131,9 @@ pub struct PiggybackMsg {
 /// assert_eq!(node.dedicated_sends(), 0);
 /// # Ok::<(), gcs_core::ParamError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct PiggybackAOpt {
-    params: Params,
-    logical: LogicalClock,
-    lmax_offset: Option<f64>,
-    next_multiple: u64,
-    estimates: HashMap<NodeId, (f64, f64)>, // (offset from H, ell guard)
-    /// Mean application inter-send gap in hardware units.
-    app_mean_gap: f64,
-    /// xorshift64 state for the application jitter (deterministic per seed).
-    rng: u64,
-    last_outgoing_hw: f64,
-    /// Hardware reading at which the next application message departs.
-    next_app_hw: f64,
-    dedicated: u64,
-    piggybacked: u64,
-}
+pub type PiggybackAOpt = AOptCore<Piggyback>;
 
 impl PiggybackAOpt {
-    /// Timer slot for the Algorithm 1 send trigger.
-    pub const SEND_TIMER: TimerId = TimerId(0);
-    /// Timer slot for the Algorithm 4 rate reset.
-    pub const RATE_TIMER: TimerId = TimerId(1);
     /// Timer slot for the application's own traffic.
     pub const APP_TIMER: TimerId = TimerId(2);
 
@@ -84,181 +148,23 @@ impl PiggybackAOpt {
             app_mean_gap.is_finite() && app_mean_gap > 0.0,
             "invalid application gap {app_mean_gap}"
         );
-        PiggybackAOpt {
-            params,
-            logical: LogicalClock::new(),
-            lmax_offset: None,
-            next_multiple: 1,
-            estimates: HashMap::new(),
+        let policy = Piggyback {
             app_mean_gap,
             rng: seed | 1,
-            last_outgoing_hw: f64::NEG_INFINITY,
             next_app_hw: f64::INFINITY,
-            dedicated: 0,
             piggybacked: 0,
-        }
+        };
+        AOptCore::with_policy(params, policy)
     }
 
     /// Dedicated (sync-only) broadcasts so far.
     pub fn dedicated_sends(&self) -> u64 {
-        self.dedicated
+        self.sends() - self.policy.piggybacked
     }
 
     /// Application broadcasts that carried the sync fields for free.
     pub fn piggybacked_sends(&self) -> u64 {
-        self.piggybacked
-    }
-
-    /// The maximum-clock estimate at hardware reading `hw`.
-    pub fn lmax_value(&self, hw: f64) -> f64 {
-        self.lmax_offset.map_or(0.0, |o| hw + o)
-    }
-
-    fn next_app_gap(&mut self) -> f64 {
-        // xorshift64: cheap, deterministic, good enough for jitter.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        let frac = (x >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-        self.app_mean_gap * (0.5 + frac)
-    }
-
-    fn send(&mut self, ctx: &mut Context<'_, PiggybackMsg>, is_app: bool, lmax: f64) {
-        let hw = ctx.hw();
-        self.last_outgoing_hw = hw;
-        if is_app {
-            self.piggybacked += 1;
-        } else {
-            self.dedicated += 1;
-        }
-        ctx.send_all(PiggybackMsg {
-            logical: self.logical.value_at_hw(hw),
-            lmax,
-            is_app,
-        });
-    }
-
-    fn schedule_send(&mut self, ctx: &mut Context<'_, PiggybackMsg>) {
-        let h0 = self.params.h0();
-        let lmax = self.lmax_value(ctx.hw());
-        let k = (lmax / h0 + 1e-9).floor() as u64 + 1;
-        self.next_multiple = k;
-        let offset = self.lmax_offset.expect("scheduled only after start");
-        ctx.set_timer(Self::SEND_TIMER, k as f64 * h0 - offset);
-    }
-
-    fn set_clock_rate(&mut self, ctx: &mut Context<'_, PiggybackMsg>) {
-        let hw = ctx.hw();
-        let l = self.logical.value_at_hw(hw);
-        let mut up = f64::NEG_INFINITY;
-        let mut down = f64::NEG_INFINITY;
-        for (offset, _) in self.estimates.values() {
-            let est = hw + offset;
-            up = up.max(est - l);
-            down = down.max(l - est);
-        }
-        if up == f64::NEG_INFINITY {
-            up = 0.0;
-            down = 0.0;
-        }
-        let headroom = self.lmax_value(hw) - l;
-        let r = clamped_increase(up, down, self.params.kappa(), headroom);
-        if r > 0.0 {
-            self.logical.set_multiplier(hw, 1.0 + self.params.mu());
-            ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-        } else {
-            self.logical.set_multiplier(hw, 1.0);
-            ctx.cancel_timer(Self::RATE_TIMER);
-        }
-    }
-}
-
-impl Protocol for PiggybackAOpt {
-    type Msg = PiggybackMsg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, PiggybackMsg>) {
-        let hw = ctx.hw();
-        self.logical.start(hw);
-        self.lmax_offset = Some(0.0 - hw);
-        self.send(ctx, false, 0.0);
-        self.schedule_send(ctx);
-        let gap = self.next_app_gap();
-        self.next_app_hw = hw + gap;
-        ctx.set_timer(Self::APP_TIMER, hw + gap);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, PiggybackMsg>, from: NodeId, msg: PiggybackMsg) {
-        let hw = ctx.hw();
-        // 1e-9 slack: see the same guard in `AOpt::on_message`.
-        if msg.lmax > self.lmax_value(hw) + 1e-9 {
-            self.lmax_offset = Some(msg.lmax - hw);
-            // Unlike plain A^opt, incoming estimates are not confined to the
-            // H₀ grid (application messages carry continuous values), so
-            // forwarding every adoption would storm. Forward dedicated only
-            // when the adoption crosses a new H₀ multiple — plain A^opt's
-            // effective forwarding rate — and skip even that when an
-            // application message departs within the next H₀ anyway (the
-            // deferral costs 𝒪(H₀) of propagation latency per hop, the same
-            // trade-off as the Section 6.1 minimum-gap variant).
-            let k_new = (msg.lmax / self.params.h0() + 1e-9).floor() as u64;
-            let app_cover = self.next_app_hw - hw <= self.params.h0();
-            if k_new >= self.next_multiple && !app_cover {
-                self.send(ctx, false, msg.lmax);
-            }
-            self.schedule_send(ctx);
-        }
-        let entry = self
-            .estimates
-            .entry(from)
-            .or_insert((f64::NEG_INFINITY, f64::NEG_INFINITY));
-        if msg.logical > entry.1 {
-            entry.1 = msg.logical;
-            entry.0 = msg.logical - hw;
-        }
-        self.set_clock_rate(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, PiggybackMsg>, timer: TimerId) {
-        match timer {
-            Self::SEND_TIMER => {
-                let hw = ctx.hw();
-                let lmax = self.next_multiple as f64 * self.params.h0();
-                // Skip the dedicated send if an application message carried
-                // the sync fields recently or will do so shortly.
-                let covered = hw - self.last_outgoing_hw < self.params.h0()
-                    || self.next_app_hw - hw <= self.params.h0();
-                if !covered {
-                    self.send(ctx, false, lmax);
-                }
-                self.schedule_send(ctx);
-            }
-            Self::RATE_TIMER => {
-                self.logical.set_multiplier(ctx.hw(), 1.0);
-            }
-            Self::APP_TIMER => {
-                let hw = ctx.hw();
-                let lmax = self.lmax_value(hw);
-                self.send(ctx, true, lmax);
-                let gap = self.next_app_gap();
-                self.next_app_hw = hw + gap;
-                ctx.set_timer(Self::APP_TIMER, hw + gap);
-            }
-            other => unreachable!("unknown timer slot {other:?}"),
-        }
-    }
-
-    fn logical_value(&self, hw: f64) -> f64 {
-        self.logical.value_at_hw(hw)
-    }
-
-    fn rate_multiplier(&self) -> f64 {
-        if self.logical.is_started() {
-            self.logical.multiplier()
-        } else {
-            1.0
-        }
+        self.policy.piggybacked
     }
 }
 
