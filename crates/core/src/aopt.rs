@@ -30,17 +30,8 @@
 //! immediately). Until a first message from a neighbour arrives, the node is
 //! oblivious to that neighbour.
 //!
-//! # One core, one policy per variant
-//!
-//! [`AOptCore`] owns all of the above once: the logical clock, `L_v^max`,
-//! the neighbour-estimate table with its incremental `Λ` trackers,
-//! broadcast and the send counter, `setClockRate` and the Algorithm 4 rate
-//! timer. The paper's variants each change one small thing, and a
-//! [`Policy`] supplies exactly that: the message encoding and decoding
-//! (where received values may be compensated), the send [`Trigger`], the
-//! `L_v^max` model (plain offset, or damped with crossing timers), the
-//! effective `κ`, and jump vs. rate boost. [`AOpt`] is the core with the
-//! [`Plain`] policy.
+//! [`AOptCore`] implements all of this once; a variant differs only in its
+//! [`Policy`] (see the crate docs). [`AOpt`] is the core with [`Plain`].
 
 use std::fmt::Debug;
 
@@ -67,31 +58,28 @@ pub struct AOptMsg {
     pub lmax: f64,
 }
 
-/// When a variant broadcasts. Every trigger also broadcasts `⟨0, 0⟩` at
-/// start and forwards a strictly larger received `L^max`; they differ in
-/// the timer and in what a forward does to it. DESIGN.md maps each variant
-/// to its trigger and the paper section behind it.
+/// When a variant broadcasts, besides `⟨0, 0⟩` at start and forwarding a
+/// strictly larger received `L^max`. DESIGN.md maps each variant to its
+/// trigger and the paper section behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
-    /// Algorithm 1: broadcast the exact multiple when `L_v^max` reaches the
-    /// next multiple of `H₀`; a forward announces the received value and
+    /// Algorithm 1: when `L_v^max` reaches the next multiple of `H₀`,
+    /// broadcast that multiple; a forward announces the received value and
     /// re-arms for the next multiple.
     Grid,
-    /// Broadcast every `H₀` of hardware time; forwards leave the timer be.
+    /// Every `H₀` of hardware time; forwards leave the timer be.
     Periodic,
-    /// Broadcast `H₀` after the node's last broadcast of any kind.
+    /// `H₀` after the node's last broadcast of any kind.
     Heartbeat,
-    /// Section 6.1: as [`Trigger::Heartbeat`], but a forward that comes
-    /// less than `H₀` after the last broadcast waits for the heartbeat.
+    /// Section 6.1: as [`Trigger::Heartbeat`], but a forward less than `H₀`
+    /// after the last broadcast waits for the heartbeat.
     MinGap,
 }
 
 /// Why the core broadcasts (passed to [`Policy::emit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cause {
-    /// The start broadcast `⟨0, 0⟩`.
-    Start,
-    /// The send trigger fired.
+    /// The start broadcast or the send trigger.
     Trigger,
     /// A strictly larger received `L^max` is forwarded.
     Forward,
@@ -101,34 +89,32 @@ pub enum Cause {
 
 /// What one variant changes about Algorithms 1–4.
 ///
-/// Every hook is an associated function on the whole [`AOptCore`], so a
-/// policy reads and writes core state directly; the defaults are the plain
-/// algorithm's behaviour. Only the wire format ([`Policy::emit`],
-/// [`Policy::receive`]) has no default. The policies are this crate's
-/// variants; the core's fields are not public, so the trait is not meant
-/// to be implemented elsewhere.
+/// Hooks are associated functions on the whole [`AOptCore`]; the defaults
+/// are the plain algorithm's. Only the wire format has none. The core's
+/// fields are crate-private, so the policies are this crate's variants.
 pub trait Policy: Clone + Debug + Sized {
     /// The message type on the wire.
     type Msg: Clone + Debug;
     /// The send trigger.
     const TRIGGER: Trigger = Trigger::Grid;
     /// Apply a positive `R_v` as an instantaneous jump (`β = ∞`) instead of
-    /// a bounded-rate boost, leaving the rate timer alone.
+    /// a rate boost, leaving the rate timer alone.
     const JUMP: bool = false;
-    /// Keep neighbour estimates at the raw received value `ℓ_v^w` instead
-    /// of advancing them at the hardware rate (an ablation).
+    /// Keep neighbour estimates at the raw received `ℓ_v^w` instead of
+    /// advancing them at the hardware rate (an ablation).
     const FROZEN: bool = false;
-    /// Update `L_v^w` only from a received value larger than `ℓ_v^w`
-    /// (Algorithm 2, line 5). Off when received values are monotone by
-    /// construction and every message must refresh the estimate.
+    /// Update `L_v^w` only from a value larger than `ℓ_v^w` (Algorithm 2,
+    /// line 5); off when received values are monotone by construction.
     const GUARDED: bool = true;
+    /// `L_v^max` is damped (Sections 8.5 and 8.6): `L_v` rides it at its
+    /// scale instead of overtaking it, armed by a crossing timer.
+    const DAMPED: bool = false;
 
-    /// Sends one broadcast announcing `lmax` (the core has already counted
-    /// it).
+    /// Sends one (already counted) broadcast announcing `lmax`.
     fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64, cause: Cause);
 
-    /// Decodes a received message into the `(L_w, L_w^max)` this node acts
-    /// on, or `None` to ignore it.
+    /// Decodes a message into the `(L_w, L_w^max)` to act on (compensated
+    /// if the policy says so), or `None` to ignore it.
     fn receive(
         core: &mut AOptCore<Self>,
         ctx: &mut Context<'_, Self::Msg>,
@@ -141,66 +127,87 @@ pub trait Policy: Clone + Debug + Sized {
         core.params.kappa()
     }
 
-    /// Initializes `L_v^max = 0` at start (before the start broadcast).
-    fn init(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>) {
-        core.lmax = Some(Lmax::Offset(0.0 - ctx.hw()));
-    }
-
-    /// Adopts a strictly larger received `L^max` (before it is forwarded).
+    /// Adopts a strictly larger received `L^max`, before forwarding it.
     fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64) {
-        core.lmax = Some(Lmax::Offset(lmax - ctx.hw()));
+        core.lmax = Lmax::new(lmax - ctx.hw(), 0.0, 1.0);
     }
 
-    /// Sets the logical multiplier `setClockRate` (or the rate timer) asks
-    /// for; the rate timer is already set or cancelled.
-    fn apply_rate(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, desired: f64) {
-        core.logical.set_multiplier(ctx.hw(), desired);
-    }
-
-    /// Whether a [`Trigger::Grid`] broadcast (`cause` is `Trigger` or
-    /// `Forward`) goes out; the timer is re-armed either way.
-    fn send_due(core: &AOptCore<Self>, hw: f64, lmax: f64, cause: Cause) -> bool {
-        let _ = (core, hw, lmax, cause);
+    /// Whether a [`Trigger::Grid`] send or forward goes out (the timer is
+    /// re-armed either way).
+    fn send_due(_core: &AOptCore<Self>, _hw: f64, _lmax: f64, _cause: Cause) -> bool {
         true
     }
 
-    /// Runs at the end of start, after the send trigger is armed.
-    fn started(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>) {
-        let _ = (core, ctx);
-    }
+    /// Runs at the end of start, after `L_v^max = 0` is set, the start
+    /// broadcast sent and the send trigger armed.
+    fn started(_core: &mut AOptCore<Self>, _ctx: &mut Context<'_, Self::Msg>) {}
 
     /// Handles timer slots other than the send and rate timers.
-    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, timer: TimerId) {
-        let _ = (core, ctx);
+    fn on_timer(_core: &mut AOptCore<Self>, _ctx: &mut Context<'_, Self::Msg>, timer: TimerId) {
         unreachable!("unknown timer slot {timer:?}")
     }
 }
 
-/// `L_v^max` as a function of the hardware reading.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Lmax {
-    /// `H_v + offset`: advances at the hardware rate (Algorithm 2).
-    Offset(f64),
-    /// `anchor + (H_v − anchor_hw)·scale`: the damped estimate of
-    /// Sections 8.5 and 8.6.
-    Scaled {
-        anchor: f64,
-        anchor_hw: f64,
-        scale: f64,
-    },
+/// The plain `⟨L_v, L_v^max⟩` wire ([`AOptMsg`]) inside a `Policy` impl.
+macro_rules! plain_wire {
+    () => {
+        type Msg = $crate::AOptMsg;
+
+        fn emit(
+            core: &mut $crate::AOptCore<Self>,
+            ctx: &mut ::gcs_sim::Context<'_, $crate::AOptMsg>,
+            lmax: f64,
+            _: $crate::Cause,
+        ) {
+            let logical = core.logical.value_at_hw(ctx.hw());
+            ctx.send_all($crate::AOptMsg { logical, lmax });
+        }
+
+        fn receive(
+            _: &mut $crate::AOptCore<Self>,
+            _: &mut ::gcs_sim::Context<'_, $crate::AOptMsg>,
+            _: ::gcs_graph::NodeId,
+            msg: $crate::AOptMsg,
+        ) -> Option<(f64, f64)> {
+            Some((msg.logical, msg.lmax))
+        }
+    };
+}
+pub(crate) use plain_wire;
+
+/// `L_v^max = anchor + (H_v − anchor_hw)·scale`. Algorithm 2's estimate is
+/// an offset from `H_v` (`anchor_hw = 0`, `scale = 1`, which evaluates bit
+/// for bit as `H_v + offset`); Sections 8.5 and 8.6 damp it (`scale < 1`).
+/// Before start (and at the Section 8.5 reference) all fields are 0, so it
+/// reads 0.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct Lmax {
+    anchor: f64,
+    anchor_hw: f64,
+    pub(crate) scale: f64,
 }
 
 impl Lmax {
-    fn value(self, hw: f64) -> f64 {
-        match self {
-            Lmax::Offset(offset) => hw + offset,
-            Lmax::Scaled {
-                anchor,
-                anchor_hw,
-                scale,
-            } => anchor + (hw - anchor_hw) * scale,
+    pub(crate) fn new(anchor: f64, anchor_hw: f64, scale: f64) -> Self {
+        Lmax {
+            anchor,
+            anchor_hw,
+            scale,
         }
     }
+
+    fn value(self, hw: f64) -> f64 {
+        self.anchor + (hw - self.anchor_hw) * self.scale
+    }
+}
+
+/// Index of `w`'s entry in a per-neighbour table, appending `fresh()` if it
+/// has none. Node degrees are small, so a linear scan beats hashing.
+pub(crate) fn slot<T>(table: &mut Vec<(NodeId, T)>, w: NodeId, fresh: impl FnOnce() -> T) -> usize {
+    table.iter().position(|&(v, _)| v == w).unwrap_or_else(|| {
+        table.push((w, fresh()));
+        table.len() - 1
+    })
 }
 
 /// Per-neighbour bookkeeping.
@@ -214,8 +221,8 @@ struct NeighborEstimate {
     ell: f64,
 }
 
-/// One node of `A^opt` or of a variant: the shared state of Algorithms 1–4
-/// plus the variant's [`Policy`].
+/// One node of `A^opt` or of a variant: the state of Algorithms 1–4 plus
+/// the variant's [`Policy`].
 ///
 /// # Example
 ///
@@ -242,9 +249,7 @@ struct NeighborEstimate {
 pub struct AOptCore<P: Policy> {
     pub(crate) params: Params,
     pub(crate) logical: LogicalClock,
-    /// `L_v^max`; `None` before start (and at the Section 8.5 reference,
-    /// which has no estimate and reads 0).
-    pub(crate) lmax: Option<Lmax>,
+    pub(crate) lmax: Lmax,
     /// Index of the next `H₀` multiple at which to send (Algorithm 1).
     pub(crate) next_multiple: u64,
     /// Per-neighbour estimates, keyed by a linear scan: node degrees are
@@ -267,13 +272,11 @@ pub struct AOptCore<P: Policy> {
     pub(crate) policy: P,
 }
 
-/// The `A^opt` protocol state of one node: the core with the [`Plain`]
-/// policy.
+/// The `A^opt` protocol state of one node (the core with [`Plain`]).
 pub type AOpt = AOptCore<Plain>;
 
 /// Algorithms 1–4 as the paper states them, with the two switches the
-/// experiments flip: `JUMP` (the `β = ∞` regime, [`crate::AOptJump`]) and
-/// `FROZEN` (the estimate ablation, [`AOpt::with_frozen_estimates`]).
+/// experiments flip: `JUMP` ([`Jump`]) and `FROZEN` ([`Frozen`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Plain<const JUMP: bool = false, const FROZEN: bool = false>;
 
@@ -284,30 +287,20 @@ pub type Jump = Plain<true, false>;
 pub type Frozen = Plain<false, true>;
 
 impl<const J: bool, const F: bool> Policy for Plain<J, F> {
-    type Msg = AOptMsg;
+    plain_wire!();
     const JUMP: bool = J;
     const FROZEN: bool = F;
+}
 
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64, _: Cause) {
-        ctx.send_all(core.sync_msg(ctx.hw(), lmax));
-    }
-
-    fn receive(
-        _: &mut AOptCore<Self>,
-        _: &mut Context<'_, AOptMsg>,
-        _: NodeId,
-        msg: AOptMsg,
-    ) -> Option<(f64, f64)> {
-        Some((msg.logical, msg.lmax))
+impl<P: Policy + Default> AOptCore<P> {
+    /// Creates a node with the given parameters (for the policies that take
+    /// no further configuration).
+    pub fn new(params: Params) -> Self {
+        AOptCore::with_policy(params, P::default())
     }
 }
 
 impl AOpt {
-    /// Creates a node with the given parameters.
-    pub fn new(params: Params) -> Self {
-        AOptCore::with_policy(params, Plain)
-    }
-
     /// Ablated variant for the `a2_estimate_ablation` experiment: neighbour
     /// estimates are frozen at the raw received values instead of advancing
     /// at the hardware rate (Algorithm 2's bookkeeping). The paper's κ
@@ -329,7 +322,7 @@ impl<P: Policy> AOptCore<P> {
         AOptCore {
             params,
             logical: LogicalClock::new(),
-            lmax: None,
+            lmax: Lmax::default(),
             next_multiple: 1,
             estimates: Vec::new(),
             arg_hi: NO_ENTRY,
@@ -348,7 +341,7 @@ impl<P: Policy> AOptCore<P> {
     /// The maximum-clock estimate `L_v^max` when the hardware clock reads
     /// `hw` (0 before initialization).
     pub fn lmax_value(&self, hw: f64) -> f64 {
-        self.lmax.map_or(0.0, |lmax| lmax.value(hw))
+        self.lmax.value(hw)
     }
 
     /// The estimate `L_v^w` of neighbour `w`'s clock at hardware reading
@@ -492,19 +485,10 @@ impl<P: Policy> AOptCore<P> {
     /// the incremental Λ trackers. Public so tracker property tests can
     /// drive randomized estimate-update/wake sequences without an engine.
     pub fn record_estimate(&mut self, from: NodeId, logical: f64, hw: f64) {
-        let idx = match self.estimates.iter().position(|&(v, _)| v == from) {
-            Some(i) => i,
-            None => {
-                self.estimates.push((
-                    from,
-                    NeighborEstimate {
-                        offset: f64::NEG_INFINITY,
-                        ell: f64::NEG_INFINITY,
-                    },
-                ));
-                self.estimates.len() - 1
-            }
-        };
+        let idx = slot(&mut self.estimates, from, || NeighborEstimate {
+            offset: f64::NEG_INFINITY,
+            ell: f64::NEG_INFINITY,
+        });
         let old_key = Self::fold_key(&self.estimates[idx].1);
         let entry = &mut self.estimates[idx].1;
         if !P::GUARDED || logical > entry.ell {
@@ -514,63 +498,31 @@ impl<P: Policy> AOptCore<P> {
         }
     }
 
-    /// The plain message `⟨L_v, lmax⟩` at hardware reading `hw`.
-    pub(crate) fn sync_msg(&self, hw: f64, lmax: f64) -> AOptMsg {
-        AOptMsg {
-            logical: self.logical.value_at_hw(hw),
-            lmax,
-        }
-    }
-
-    /// Counts and sends one broadcast through the policy.
+    /// Counts one broadcast and sends it through the policy.
     pub(crate) fn broadcast(&mut self, ctx: &mut Context<'_, P::Msg>, lmax: f64, cause: Cause) {
         self.sends += 1;
         self.last_send_hw = ctx.hw();
         P::emit(self, ctx, lmax, cause);
     }
 
-    /// Re-arms the Algorithm 1 send trigger for the next multiple of `H₀`
-    /// not yet reached by `L_v^max`.
-    fn schedule_grid(&mut self, ctx: &mut Context<'_, P::Msg>) {
-        let h0 = self.params.h0();
-        let hw = ctx.hw();
+    /// Broadcasts `lmax` and re-arms the send trigger: `H₀` of hardware time
+    /// from now, or on the grid (where the policy may skip the broadcast)
+    /// for the next multiple of `H₀` not yet reached by `L_v^max`.
+    fn send(&mut self, ctx: &mut Context<'_, P::Msg>, lmax: f64, cause: Cause) {
+        let (hw, h0) = (ctx.hw(), self.params.h0());
+        if P::TRIGGER != Trigger::Grid {
+            self.broadcast(ctx, lmax, cause);
+            return ctx.set_timer(Self::SEND_TIMER, hw + h0);
+        }
+        if P::send_due(self, hw, lmax, cause) {
+            self.broadcast(ctx, lmax, cause);
+        }
         // Next strictly-future multiple (tolerating FP error at an exact hit).
         let k = (self.lmax_value(hw) / h0 + 1e-9).floor() as u64 + 1;
         self.next_multiple = k;
+        debug_assert_eq!((self.lmax.anchor_hw, self.lmax.scale), (0.0, 1.0));
         // L_v^max = H_v + offset reaches k·H₀ when H_v = k·H₀ − offset.
-        let Some(Lmax::Offset(offset)) = self.lmax else {
-            unreachable!("the grid trigger runs on an offset L^max")
-        };
-        ctx.set_timer(Self::SEND_TIMER, k as f64 * h0 - offset);
-    }
-
-    /// Arms the send timer `H₀` of hardware time from now.
-    fn rearm(&mut self, ctx: &mut Context<'_, P::Msg>) {
-        ctx.set_timer(Self::SEND_TIMER, ctx.hw() + self.params.h0());
-    }
-
-    /// Algorithm 2, lines 1–4 after adoption: forward the larger `lmax`
-    /// as the trigger prescribes.
-    fn forward(&mut self, ctx: &mut Context<'_, P::Msg>, lmax: f64) {
-        let hw = ctx.hw();
-        match P::TRIGGER {
-            Trigger::Grid => {
-                if P::send_due(self, hw, lmax, Cause::Forward) {
-                    self.broadcast(ctx, lmax, Cause::Forward);
-                }
-                self.schedule_grid(ctx);
-            }
-            Trigger::Periodic => self.broadcast(ctx, self.lmax_value(hw), Cause::Forward),
-            Trigger::MinGap if hw - self.last_send_hw < self.params.h0() - 1e-12 => {
-                // Too soon: the heartbeat, armed at last send + H₀, sends
-                // then with the freshest values.
-                ctx.set_timer(Self::SEND_TIMER, self.last_send_hw + self.params.h0());
-            }
-            Trigger::Heartbeat | Trigger::MinGap => {
-                self.broadcast(ctx, self.lmax_value(hw), Cause::Forward);
-                self.rearm(ctx);
-            }
-        }
+        ctx.set_timer(Self::SEND_TIMER, k as f64 * h0 - self.lmax.anchor);
     }
 
     /// Algorithm 3: `setClockRate`.
@@ -601,37 +553,25 @@ impl<P: Policy> AOptCore<P> {
             }
         } else if r > 0.0 {
             ctx.set_timer(Self::RATE_TIMER, hw + r / self.params.mu());
-            P::apply_rate(self, ctx, 1.0 + self.params.mu());
+            self.apply_rate(ctx, 1.0 + self.params.mu());
         } else {
             ctx.cancel_timer(Self::RATE_TIMER);
-            P::apply_rate(self, ctx, 1.0);
+            self.apply_rate(ctx, 1.0);
         }
     }
 
-    /// Re-anchors a damped `L_v^max` at `value` (now) with growth `scale`.
-    pub(crate) fn rebase_lmax(&mut self, hw: f64, value: f64, scale: f64) {
-        self.lmax = Some(Lmax::Scaled {
-            anchor: value,
-            anchor_hw: hw,
-            scale,
-        });
-    }
-
-    /// The growth scale of a damped `L_v^max`.
-    pub(crate) fn lmax_scale(&self) -> f64 {
-        match self.lmax {
-            Some(Lmax::Scaled { scale, .. }) => scale,
-            _ => unreachable!("a damped L^max is initialized at start"),
-        }
-    }
-
-    /// [`Policy::apply_rate`] under a damped `L_v^max`: sets the multiplier,
-    /// riding the estimate at its own scale when `L_v` has (within
-    /// floating-point slack) caught it, and arming the crossing timer
-    /// otherwise. This is where `L_v ≤ L_v^max` is kept between events.
-    pub(crate) fn apply_damped(&mut self, ctx: &mut Context<'_, P::Msg>, desired: f64) {
+    /// Sets the multiplier `setClockRate` or the rate timer asks for (the
+    /// rate timer is already set or cancelled). Under a damped `L_v^max`,
+    /// `L_v` rides the estimate at its own scale once it has (within
+    /// floating-point slack) caught it, and the crossing timer is armed
+    /// otherwise: this is where `L_v ≤ L_v^max` is kept between events.
+    fn apply_rate(&mut self, ctx: &mut Context<'_, P::Msg>, desired: f64) {
         let hw = ctx.hw();
-        let scale = self.lmax_scale();
+        if !P::DAMPED {
+            self.logical.set_multiplier(hw, desired);
+            return;
+        }
+        let scale = self.lmax.scale;
         let headroom = self.lmax_value(hw) - self.logical.value_at_hw(hw);
         if desired > scale && headroom <= 1e-12 {
             // Riding the estimate: any faster rate would overtake it.
@@ -647,13 +587,6 @@ impl<P: Policy> AOptCore<P> {
             }
         }
     }
-
-    /// The crossing timer fired: `L_v` reached a damped `L_v^max`; ride it
-    /// at the estimate's scale.
-    pub(crate) fn ride_lmax(&mut self, ctx: &mut Context<'_, P::Msg>) {
-        self.logical.set_multiplier(ctx.hw(), self.lmax_scale());
-        ctx.cancel_timer(Self::RATE_TIMER);
-    }
 }
 
 impl<P: Policy> Protocol for AOptCore<P> {
@@ -663,16 +596,12 @@ impl<P: Policy> Protocol for AOptCore<P> {
         let hw = ctx.hw();
         debug_assert_eq!(hw, 0.0, "hardware clocks start at zero");
         self.logical.start(hw);
-        P::init(self, ctx);
+        self.lmax = Lmax::new(0.0 - hw, 0.0, 1.0);
         // A node waking up by itself sends ⟨0, 0⟩ (L_v^max = 0 is the 0-th
         // multiple of H₀); a message-initialized node sends the same before
         // processing the initialization message, which subsumes the paper's
         // "trigger a sending event".
-        self.broadcast(ctx, 0.0, Cause::Start);
-        match P::TRIGGER {
-            Trigger::Grid => self.schedule_grid(ctx),
-            _ => self.rearm(ctx),
-        }
+        self.send(ctx, 0.0, Cause::Trigger);
         P::started(self, ctx);
     }
 
@@ -687,7 +616,18 @@ impl<P: Policy> Protocol for AOptCore<P> {
         // routes are not treated as increases (which would duplicate sends).
         if lmax > self.lmax_value(hw) + 1e-9 {
             P::adopt(self, ctx, lmax);
-            self.forward(ctx, lmax);
+            let now = self.lmax_value(hw);
+            match P::TRIGGER {
+                // The grid forwards the received value itself.
+                Trigger::Grid => self.send(ctx, lmax, Cause::Forward),
+                Trigger::Periodic => self.broadcast(ctx, now, Cause::Forward),
+                Trigger::MinGap if hw - self.last_send_hw < self.params.h0() - 1e-12 => {
+                    // Too soon: the heartbeat at last send + H₀ carries the
+                    // freshest values then.
+                    ctx.set_timer(Self::SEND_TIMER, self.last_send_hw + self.params.h0());
+                }
+                Trigger::Heartbeat | Trigger::MinGap => self.send(ctx, now, Cause::Forward),
+            }
         }
         // Lines 5–7: adopt a larger (hence more recent) clock value of `w`.
         self.record_estimate(from, logical, hw);
@@ -697,21 +637,22 @@ impl<P: Policy> Protocol for AOptCore<P> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, P::Msg>, timer: TimerId) {
         match timer {
-            Self::SEND_TIMER if P::TRIGGER == Trigger::Grid => {
+            Self::SEND_TIMER => {
                 // Algorithm 1: L_v^max reached the multiple; broadcast the
                 // exact multiple to keep sent estimates on the H₀ grid.
-                let lmax = self.next_multiple as f64 * self.params.h0();
-                if P::send_due(self, ctx.hw(), lmax, Cause::Trigger) {
-                    self.broadcast(ctx, lmax, Cause::Trigger);
-                }
-                self.schedule_grid(ctx);
-            }
-            Self::SEND_TIMER => {
-                self.broadcast(ctx, self.lmax_value(ctx.hw()), Cause::Trigger);
-                self.rearm(ctx);
+                let lmax = match P::TRIGGER {
+                    Trigger::Grid => self.next_multiple as f64 * self.params.h0(),
+                    _ => self.lmax_value(ctx.hw()),
+                };
+                self.send(ctx, lmax, Cause::Trigger);
             }
             // Algorithm 4: H_v reached H_v^R.
-            Self::RATE_TIMER => P::apply_rate(self, ctx, 1.0),
+            Self::RATE_TIMER => self.apply_rate(ctx, 1.0),
+            CROSS_TIMER if P::DAMPED => {
+                // L_v caught the damped L_v^max: ride it at its scale.
+                self.logical.set_multiplier(ctx.hw(), self.lmax.scale);
+                ctx.cancel_timer(Self::RATE_TIMER);
+            }
             other => P::on_timer(self, ctx, other),
         }
     }
@@ -900,19 +841,55 @@ mod tests {
 
     #[test]
     fn sent_lmax_values_stay_on_h0_grid() {
+        /// Records the `L^max` of every message its node receives.
+        #[derive(Clone)]
+        struct Tap {
+            node: AOpt,
+            heard: Vec<f64>,
+        }
+        impl Protocol for Tap {
+            type Msg = AOptMsg;
+            fn on_start(&mut self, ctx: &mut Context<'_, AOptMsg>) {
+                self.node.on_start(ctx);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, AOptMsg>, from: NodeId, msg: AOptMsg) {
+                self.heard.push(msg.lmax);
+                self.node.on_message(ctx, from, msg);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
+                self.node.on_timer(ctx, timer);
+            }
+            fn logical_value(&self, hw: f64) -> f64 {
+                self.node.logical_value(hw)
+            }
+        }
+        // Split drift keeps larger estimates arriving, so the nodes both
+        // send from the trigger and forward what they adopt.
         let p = params();
-        let g = topology::path(3);
-        let mut engine = Engine::builder(g)
-            .protocols(vec![AOpt::new(p); 3])
+        let drift = gcs_time::DriftBounds::new(0.01).unwrap();
+        let tap = Tap {
+            node: AOpt::new(p),
+            heard: Vec::new(),
+        };
+        let mut engine = Engine::builder(topology::path(3))
+            .protocols(vec![tap; 3])
             .delay_model(ConstantDelay::new(0.03))
+            .rate_schedules(gcs_sim::rates::split(3, drift, |v| v == 0))
             .build();
         engine.wake(NodeId(0), 0.0);
         engine.run_until(50.0);
-        // All nodes' estimates are multiples of H₀ plus hardware progress;
-        // spot-check the next_multiple bookkeeping via lmax at a send event:
+        // With lossless links every message sent before the horizon (less
+        // one delay) is heard, so this checks what the nodes sent.
         for v in 0..3 {
-            let node = engine.protocol(NodeId(v));
-            assert!(node.sends() > 10, "node {v} sent too rarely");
+            let tap = engine.protocol(NodeId(v));
+            assert!(tap.heard.len() > 10, "node {v} heard too little");
+            for &lmax in &tap.heard {
+                let k = lmax / p.h0();
+                assert!(
+                    (k - k.round()).abs() < 1e-9,
+                    "node {v} heard L^max = {lmax}, off the H₀ grid"
+                );
+            }
         }
     }
 

@@ -22,7 +22,7 @@
 use gcs_graph::NodeId;
 use gcs_sim::Context;
 
-use crate::aopt::{AOptCore, Cause, Policy, Trigger};
+use crate::aopt::{slot, AOptCore, Cause, Policy, Trigger};
 use crate::Params;
 
 /// The role of an adaptive message in the round-trip measurement.
@@ -65,9 +65,7 @@ struct Link {
     in_flight: Vec<(u64, f64)>,
 }
 
-/// The Section 8.1 policy: probes and acks measure round trips, `𝒯̂` is
-/// flooded, and `Params` are re-derived as it grows. The send timer is a
-/// heartbeat because `H₀` itself changes with `𝒯̂`.
+/// The policy: probes, acks, a flooded `𝒯̂` and re-derived [`Params`].
 #[derive(Debug, Clone)]
 pub struct Adaptive {
     epsilon_hat: f64,
@@ -77,14 +75,19 @@ pub struct Adaptive {
 }
 
 impl Adaptive {
+    /// A message with this node's sync fields at `hw`.
+    fn msg(core: &AOptCore<Self>, hw: f64, lmax: f64, kind: MsgKind) -> AdaptiveMsg {
+        let (logical, t_hat) = (core.logical.value_at_hw(hw), core.params.t_hat());
+        AdaptiveMsg {
+            logical,
+            lmax,
+            t_hat,
+            kind,
+        }
+    }
+
     fn link(&mut self, w: NodeId) -> &mut Link {
-        let i = match self.links.iter().position(|&(v, _)| v == w) {
-            Some(i) => i,
-            None => {
-                self.links.push((w, Link::default()));
-                self.links.len() - 1
-            }
-        };
+        let i = slot(&mut self.links, w, Link::default);
         &mut self.links[i].1
     }
 
@@ -100,19 +103,11 @@ impl Policy for Adaptive {
     type Msg = AdaptiveMsg;
     const TRIGGER: Trigger = Trigger::Heartbeat;
 
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AdaptiveMsg>, lmax: f64, cause: Cause) {
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64, cause: Cause) {
         let hw = ctx.hw();
-        let logical = core.logical.value_at_hw(hw);
-        let t_hat = core.params.t_hat();
-        let msg = |kind| AdaptiveMsg {
-            logical,
-            lmax,
-            t_hat,
-            kind,
-        };
         if cause == Cause::Forward {
             // Estimate forwards are plain: probing them would storm acks.
-            ctx.send_all(msg(MsgKind::Plain));
+            ctx.send_all(Self::msg(core, hw, lmax, MsgKind::Plain));
             return;
         }
         // Per-neighbour probes (each carries that link's seq).
@@ -128,13 +123,13 @@ impl Policy for Adaptive {
             if link.in_flight.len() > 32 {
                 link.in_flight.remove(0);
             }
-            ctx.send(w, msg(MsgKind::Probe { seq }));
+            ctx.send(w, Self::msg(core, hw, lmax, MsgKind::Probe { seq }));
         }
     }
 
     fn receive(
         core: &mut AOptCore<Self>,
-        ctx: &mut Context<'_, AdaptiveMsg>,
+        ctx: &mut Context<'_, Self::Msg>,
         from: NodeId,
         msg: AdaptiveMsg,
     ) -> Option<(f64, f64)> {
@@ -148,12 +143,7 @@ impl Policy for Adaptive {
             MsgKind::Probe { seq } => {
                 // Acknowledge immediately; the ack carries our sync fields
                 // too (they are nearly free) but is never answered itself.
-                let ack = AdaptiveMsg {
-                    logical: core.logical.value_at_hw(hw),
-                    lmax: core.lmax_value(hw),
-                    t_hat: core.params.t_hat(),
-                    kind: MsgKind::Ack { of: seq },
-                };
+                let ack = Self::msg(core, hw, core.lmax_value(hw), MsgKind::Ack { of: seq });
                 ctx.send(from, ack);
             }
             MsgKind::Ack { of } => {

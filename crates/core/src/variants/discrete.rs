@@ -27,7 +27,7 @@
 use gcs_graph::NodeId;
 use gcs_sim::Context;
 
-use crate::aopt::{AOptCore, Cause, Policy};
+use crate::aopt::{slot, AOptCore, Cause, Policy};
 use crate::Params;
 
 /// The quantized differential message of [`DiscreteAOpt`].
@@ -44,7 +44,7 @@ pub struct DiscreteMsg {
 }
 
 /// Per-neighbour reconstruction state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct Reconstruction {
     /// Reconstructed cumulative logical value of the sender.
     cum_logical: f64,
@@ -54,10 +54,9 @@ struct Reconstruction {
     next_seq: u64,
 }
 
-/// The Section 6.2 policy: quantized differential encoding on the grid
-/// trigger, `κ` enlarged by two quanta, and reconstructed (monotone)
-/// values that refresh the estimate on every message.
-#[derive(Debug, Clone)]
+/// The policy: the quantized encoding and `κ` enlarged by `2q = 2μH₀` to
+/// absorb the quantization, per the paper's remark.
+#[derive(Debug, Clone, Default)]
 pub struct Discrete {
     /// `H₀` units already announced to neighbours.
     announced_units: u64,
@@ -79,7 +78,7 @@ impl Policy for Discrete {
 
     /// Encodes from the current `L_v^max` (the announced `lmax` is implied
     /// by the unit count).
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, DiscreteMsg>, _: f64, _: Cause) {
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, _: f64, _: Cause) {
         let hw = ctx.hw();
         let q = core.quantum();
         let params = core.params;
@@ -101,25 +100,14 @@ impl Policy for Discrete {
 
     fn receive(
         core: &mut AOptCore<Self>,
-        _: &mut Context<'_, DiscreteMsg>,
+        _: &mut Context<'_, Self::Msg>,
         from: NodeId,
         msg: DiscreteMsg,
     ) -> Option<(f64, f64)> {
         let q = core.quantum();
         let h0 = core.params.h0();
         let links = &mut core.policy.links;
-        let i = match links.iter().position(|&(v, _)| v == from) {
-            Some(i) => i,
-            None => {
-                let fresh = Reconstruction {
-                    cum_logical: 0.0,
-                    cum_units: 0,
-                    next_seq: 0,
-                };
-                links.push((from, fresh));
-                links.len() - 1
-            }
-        };
+        let i = slot(links, from, Reconstruction::default);
         let rec = &mut links[i].1;
         assert_eq!(
             msg.seq, rec.next_seq,
@@ -151,18 +139,6 @@ impl Policy for Discrete {
 pub type DiscreteAOpt = AOptCore<Discrete>;
 
 impl DiscreteAOpt {
-    /// Creates a node. `κ` is internally enlarged by `2q = 2μH₀` to absorb
-    /// the quantization, per the paper's remark.
-    pub fn new(params: Params) -> Self {
-        let policy = Discrete {
-            announced_units: 0,
-            sent_logical: 0.0,
-            seq: 0,
-            links: Vec::new(),
-        };
-        AOptCore::with_policy(params, policy)
-    }
-
     /// The logical quantum `q = μ·H₀`.
     pub fn quantum(&self) -> f64 {
         self.params.mu() * self.params.h0()
@@ -269,8 +245,7 @@ mod tests {
                 // Conservative: estimate never overtakes the truth…
                 assert!(est <= actual + 1e-9);
                 // …and is fresh to within delay + send period + quanta.
-                let staleness_allowance =
-                    (1.0 + p.mu()) * (0.02 + p.h0() / 0.99) + 2.0 * q + 0.1;
+                let staleness_allowance = (1.0 + p.mu()) * (0.02 + p.h0() / 0.99) + 2.0 * q + 0.1;
                 assert!(actual - est <= staleness_allowance);
             }
         });

@@ -17,61 +17,34 @@
 //! multiplier never drops below 1 except while riding the (larger)
 //! estimate, so `L_v ≥ H_v ≥ min_w H_w`.
 
-use gcs_graph::NodeId;
 use gcs_sim::{Context, TimerId};
 
-use crate::aopt::{AOptCore, Cause, Policy, Trigger, CROSS_TIMER};
-use crate::{AOptMsg, Params};
+use crate::aopt::{plain_wire, AOptCore, Lmax, Policy, Trigger, CROSS_TIMER};
+use crate::AOptMsg;
 
-/// The Section 8.6 policy: a damped `L_v^max` floored at `H_v`, sent
-/// periodically (a damped estimate is off the `H₀` grid).
+/// The policy: a damped `L_v^max` floored at `H_v`, sent periodically.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Envelope;
 
 impl Policy for Envelope {
-    type Msg = AOptMsg;
+    plain_wire!();
     const TRIGGER: Trigger = Trigger::Periodic;
+    const DAMPED: bool = true;
 
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64, _: Cause) {
-        ctx.send_all(core.sync_msg(ctx.hw(), lmax));
-    }
-
-    fn receive(
-        _: &mut AOptCore<Self>,
-        _: &mut Context<'_, AOptMsg>,
-        _: NodeId,
-        msg: AOptMsg,
-    ) -> Option<(f64, f64)> {
-        Some((msg.logical, msg.lmax))
-    }
-
-    fn init(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>) {
-        core.rebase_lmax(ctx.hw(), 0.0, 1.0);
-    }
-
-    fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64) {
-        core.rebase_lmax(ctx.hw(), lmax, 1.0);
+    fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64) {
+        core.lmax = Lmax::new(lmax, ctx.hw(), 1.0);
         retune_lmax(core, ctx);
     }
 
-    fn apply_rate(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, desired: f64) {
-        core.apply_damped(ctx, desired);
-    }
-
-    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, timer: TimerId) {
-        match timer {
-            CROSS_TIMER => core.ride_lmax(ctx),
-            EnvelopeAOpt::MAX_CROSS_TIMER => {
-                // H_v caught the damped estimate: L^max rides H_v again.
-                retune_lmax(core, ctx);
-                // If L was riding L^max, it must pick up the new scale.
-                let hw = ctx.hw();
-                let headroom = core.lmax_value(hw) - core.logical.value_at_hw(hw);
-                if headroom <= 1e-12 {
-                    core.logical.set_multiplier(hw, core.lmax_scale());
-                }
-            }
-            other => unreachable!("unknown timer slot {other:?}"),
+    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, timer: TimerId) {
+        assert_eq!(timer, EnvelopeAOpt::MAX_CROSS_TIMER, "unknown timer slot");
+        // H_v caught the damped estimate: L^max rides H_v again.
+        retune_lmax(core, ctx);
+        // If L was riding L^max, it must pick up the new scale.
+        let hw = ctx.hw();
+        let headroom = core.lmax_value(hw) - core.logical.value_at_hw(hw);
+        if headroom <= 1e-12 {
+            core.logical.set_multiplier(hw, core.lmax.scale);
         }
     }
 }
@@ -84,8 +57,12 @@ fn retune_lmax(core: &mut AOptCore<Envelope>, ctx: &mut Context<'_, AOptMsg>) {
     let value = core.lmax_value(hw).max(hw); // L^max ≥ H_v invariant
     let above = value > hw + 1e-12;
     let eps = core.params.epsilon_hat();
-    let scale = if above { (1.0 - eps) / (1.0 + eps) } else { 1.0 };
-    core.rebase_lmax(hw, value, scale);
+    let scale = if above {
+        (1.0 - eps) / (1.0 + eps)
+    } else {
+        1.0
+    };
+    core.lmax = Lmax::new(value, hw, scale);
     if above {
         // H grows at rate 1·h, the estimate at scale·h < h: they meet at
         // hw* with value + (hw* − hw)·scale = hw*.
@@ -128,17 +105,13 @@ impl EnvelopeAOpt {
     /// Timer slot for the `L_v^max = H_v` crossing (switch the estimate
     /// back to the full hardware rate).
     pub const MAX_CROSS_TIMER: TimerId = TimerId(3);
-
-    /// Creates a node.
-    pub fn new(params: Params) -> Self {
-        AOptCore::with_policy(params, Envelope)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_graph::topology;
+    use crate::Params;
+    use gcs_graph::{topology, NodeId};
     use gcs_sim::{Engine, UniformDelay};
     use gcs_time::DriftBounds;
 

@@ -15,7 +15,7 @@
 use gcs_graph::NodeId;
 use gcs_sim::{Context, TimerId};
 
-use crate::aopt::{AOptCore, Cause, Policy, Trigger, CROSS_TIMER};
+use crate::aopt::{AOptCore, Cause, Lmax, Policy, Trigger, CROSS_TIMER};
 use crate::Params;
 
 /// The synchronization message `⟨L_v, L_v^max⟩` of the external variant.
@@ -27,59 +27,48 @@ pub struct ExternalMsg {
     pub lmax: f64,
 }
 
-/// The Section 8.5 policy: `L_v^max` damped by `1/(1 + ε̂)`, sent
-/// periodically (a damped estimate is off the `H₀` grid). The reference
-/// announces its own clock and ignores what it receives.
-#[derive(Debug, Clone, Copy)]
+/// The policy: `L_v^max` damped by `1/(1 + ε̂)`, sent periodically.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct External {
-    is_reference: bool,
+    reference: bool,
 }
 
 impl Policy for External {
     type Msg = ExternalMsg;
     const TRIGGER: Trigger = Trigger::Periodic;
+    const DAMPED: bool = true;
 
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, lmax: f64, _: Cause) {
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64, _: Cause) {
         let logical = core.logical.value_at_hw(ctx.hw());
-        let lmax = if core.policy.is_reference {
-            logical
-        } else {
-            lmax
-        };
+        // The reference's real-time estimate is its own clock.
+        let lmax = if core.policy.reference { logical } else { lmax };
         ctx.send_all(ExternalMsg { logical, lmax });
     }
 
     fn receive(
         core: &mut AOptCore<Self>,
-        _: &mut Context<'_, ExternalMsg>,
+        _: &mut Context<'_, Self::Msg>,
         _: NodeId,
         msg: ExternalMsg,
     ) -> Option<(f64, f64)> {
         // The reference never adjusts.
-        (!core.policy.is_reference).then_some((msg.logical, msg.lmax))
+        (!core.policy.reference).then_some((msg.logical, msg.lmax))
     }
 
-    fn init(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>) {
-        if !core.policy.is_reference {
-            let hw = ctx.hw();
+    fn started(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>) {
+        let hw = ctx.hw();
+        if core.policy.reference {
+            core.lmax = Lmax::default(); // no estimate: it is real time
+        } else {
             let scale = 1.0 / (1.0 + core.params.epsilon_hat());
-            core.rebase_lmax(hw, 0.0, scale);
+            core.lmax = Lmax::new(0.0, hw, scale);
             // Start damped: L = L^max = 0 and the estimate must lead.
             core.logical.set_multiplier(hw, scale);
         }
     }
 
-    fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, lmax: f64) {
-        core.rebase_lmax(ctx.hw(), lmax, core.lmax_scale());
-    }
-
-    fn apply_rate(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, desired: f64) {
-        core.apply_damped(ctx, desired);
-    }
-
-    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, ExternalMsg>, timer: TimerId) {
-        assert_eq!(timer, CROSS_TIMER, "unknown timer slot {timer:?}");
-        core.ride_lmax(ctx);
+    fn adopt(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64) {
+        core.lmax = Lmax::new(lmax, ctx.hw(), core.lmax.scale);
     }
 }
 
@@ -118,24 +107,14 @@ impl ExternalAOpt {
     /// rate so the estimate is never overtaken).
     pub const CROSS_TIMER: TimerId = CROSS_TIMER;
 
-    /// Creates a non-reference node.
-    pub fn new(params: Params) -> Self {
-        AOptCore::with_policy(
-            params,
-            External {
-                is_reference: false,
-            },
-        )
-    }
-
     /// Creates the reference node (run its hardware clock at rate 1).
     pub fn reference(params: Params) -> Self {
-        AOptCore::with_policy(params, External { is_reference: true })
+        AOptCore::with_policy(params, External { reference: true })
     }
 
     /// Whether this node is the real-time reference.
     pub fn is_reference(&self) -> bool {
-        self.policy.is_reference
+        self.policy.reference
     }
 }
 

@@ -1,7 +1,6 @@
 //! The unbounded-rate (`β = ∞`) variant.
 
 use crate::aopt::{AOptCore, Jump};
-use crate::Params;
 
 /// `A^opt` with instantaneous clock jumps.
 ///
@@ -26,11 +25,6 @@ use crate::Params;
 pub type AOptJump = AOptCore<Jump>;
 
 impl AOptJump {
-    /// Creates a node with the given parameters.
-    pub fn new(params: Params) -> Self {
-        AOptCore::with_policy(params, Jump::default())
-    }
-
     /// The shared `A^opt` state (estimates, counters, parameters). The jump
     /// variant *is* the core with the [`Jump`] policy, so this is `self`.
     pub fn inner(&self) -> &Self {
@@ -41,6 +35,7 @@ impl AOptJump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Params;
     use gcs_graph::{topology, NodeId};
     use gcs_sim::{ConstantDelay, Engine};
     use gcs_time::RateSchedule;

@@ -9,33 +9,15 @@
 //! calls optimal up to constants (a pair at distance `D` deprived of
 //! updates for `Θ(D·H₀)` time can always be driven `Θ(ε·D·H₀)` apart).
 
-use gcs_graph::NodeId;
-use gcs_sim::Context;
+use crate::aopt::{plain_wire, AOptCore, Policy, Trigger};
 
-use crate::aopt::{AOptCore, Cause, Policy, Trigger};
-use crate::{AOptMsg, Params};
-
-/// The [`Trigger::MinGap`] policy: deferred forwards carry the values of
-/// their actual send time, and the heartbeat keeps at most `H₀` of silence.
+/// The policy: [`Trigger::MinGap`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinGap;
 
 impl Policy for MinGap {
-    type Msg = AOptMsg;
+    plain_wire!();
     const TRIGGER: Trigger = Trigger::MinGap;
-
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64, _: Cause) {
-        ctx.send_all(core.sync_msg(ctx.hw(), lmax));
-    }
-
-    fn receive(
-        _: &mut AOptCore<Self>,
-        _: &mut Context<'_, AOptMsg>,
-        _: NodeId,
-        msg: AOptMsg,
-    ) -> Option<(f64, f64)> {
-        Some((msg.logical, msg.lmax))
-    }
 }
 
 /// `A^opt` with a hard minimum gap of `H₀` local time between sends.
@@ -52,17 +34,11 @@ impl Policy for MinGap {
 /// ```
 pub type MinGapAOpt = AOptCore<MinGap>;
 
-impl MinGapAOpt {
-    /// Creates a node.
-    pub fn new(params: Params) -> Self {
-        AOptCore::with_policy(params, MinGap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_graph::topology;
+    use crate::Params;
+    use gcs_graph::{topology, NodeId};
     use gcs_sim::{ConstantDelay, DelayCtx, Delivery, Engine, FnDelay};
     use gcs_time::DriftBounds;
 

@@ -14,8 +14,7 @@ use gcs_sim::Context;
 use crate::aopt::{AOptCore, Cause, Policy, Trigger};
 use crate::{AOptMsg, Params};
 
-/// The Section 8.3 policy: received values compensated by `(1 − ε̂)·𝒯₁`,
-/// sent periodically.
+/// The policy: received values compensated, sent periodically.
 #[derive(Debug, Clone, Copy)]
 pub struct Offset {
     t1: f64,
@@ -25,13 +24,14 @@ impl Policy for Offset {
     type Msg = AOptMsg;
     const TRIGGER: Trigger = Trigger::Periodic;
 
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, AOptMsg>, lmax: f64, _: Cause) {
-        ctx.send_all(core.sync_msg(ctx.hw(), lmax));
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64, _: Cause) {
+        let logical = core.logical.value_at_hw(ctx.hw());
+        ctx.send_all(AOptMsg { logical, lmax });
     }
 
     fn receive(
         core: &mut AOptCore<Self>,
-        _: &mut Context<'_, AOptMsg>,
+        _: &mut Context<'_, Self::Msg>,
         _: NodeId,
         msg: AOptMsg,
     ) -> Option<(f64, f64)> {

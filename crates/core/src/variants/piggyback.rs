@@ -31,8 +31,7 @@ pub struct PiggybackMsg {
     pub is_app: bool,
 }
 
-/// The piggybacking policy: the grid trigger, skipped under application
-/// cover, plus the application's own traffic.
+/// The policy: the grid trigger skipped under application cover.
 #[derive(Debug, Clone, Copy)]
 pub struct Piggyback {
     /// Mean application inter-send gap in hardware units.
@@ -45,30 +44,25 @@ pub struct Piggyback {
 }
 
 impl Piggyback {
-    fn next_app_gap(&mut self) -> f64 {
+    /// Schedules the next application message, a jittered gap from now.
+    fn arm_app(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>) {
+        let p = &mut core.policy;
         // xorshift64: cheap, deterministic, good enough for jitter.
-        let mut x = self.rng;
+        let mut x = p.rng;
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        self.rng = x;
+        p.rng = x;
         let frac = (x >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-        self.app_mean_gap * (0.5 + frac)
-    }
-
-    /// Schedules the next application message.
-    fn arm_app(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>) {
-        let hw = ctx.hw();
-        let gap = core.policy.next_app_gap();
-        core.policy.next_app_hw = hw + gap;
-        ctx.set_timer(PiggybackAOpt::APP_TIMER, hw + gap);
+        p.next_app_hw = ctx.hw() + p.app_mean_gap * (0.5 + frac);
+        ctx.set_timer(PiggybackAOpt::APP_TIMER, p.next_app_hw);
     }
 }
 
 impl Policy for Piggyback {
     type Msg = PiggybackMsg;
 
-    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>, lmax: f64, cause: Cause) {
+    fn emit(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, lmax: f64, cause: Cause) {
         ctx.send_all(PiggybackMsg {
             logical: core.logical.value_at_hw(ctx.hw()),
             lmax,
@@ -78,7 +72,7 @@ impl Policy for Piggyback {
 
     fn receive(
         _: &mut AOptCore<Self>,
-        _: &mut Context<'_, PiggybackMsg>,
+        _: &mut Context<'_, Self::Msg>,
         _: NodeId,
         msg: PiggybackMsg,
     ) -> Option<(f64, f64)> {
@@ -106,12 +100,12 @@ impl Policy for Piggyback {
         }
     }
 
-    fn started(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>) {
+    fn started(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>) {
         Self::arm_app(core, ctx);
     }
 
-    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, PiggybackMsg>, timer: TimerId) {
-        assert_eq!(timer, PiggybackAOpt::APP_TIMER, "unknown timer slot {timer:?}");
+    fn on_timer(core: &mut AOptCore<Self>, ctx: &mut Context<'_, Self::Msg>, timer: TimerId) {
+        assert_eq!(timer, PiggybackAOpt::APP_TIMER, "unknown timer slot");
         core.policy.piggybacked += 1;
         core.broadcast(ctx, core.lmax_value(ctx.hw()), Cause::App);
         Self::arm_app(core, ctx);
