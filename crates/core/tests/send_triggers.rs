@@ -63,7 +63,9 @@ impl EventSink for TriggerLog {
         match *event {
             EngineEvent::Wake { node, .. } => self.why[node.index()] = Some(Why::Wake),
             EngineEvent::Deliver { dst, .. } => self.why[dst.index()] = Some(Why::Deliver),
-            EngineEvent::TimerFire { node, timer, hw, .. } => {
+            EngineEvent::TimerFire {
+                node, timer, hw, ..
+            } => {
                 self.why[node.index()] = Some(Why::Timer(timer));
                 if timer == SEND {
                     self.fires.push((node.index(), hw));
@@ -148,14 +150,21 @@ fn off_grid(x: f64, unit: f64) -> f64 {
 /// Checks the behaviour `P::TRIGGER` promises, after checking that it is
 /// the trigger DESIGN.md lists for the variant.
 fn check<P: Policy>(name: &str, expected: Trigger, run: Run) {
-    assert_eq!(P::TRIGGER, expected, "{name}: trigger differs from DESIGN.md");
+    assert_eq!(
+        P::TRIGGER,
+        expected,
+        "{name}: trigger differs from DESIGN.md"
+    );
     let Run {
         log,
         lmax_at_send,
         h0,
     } = run;
     let forwards = log.sends.iter().filter(|s| s.why == Why::Deliver).count();
-    assert!(log.fires.len() > 5 * N, "{name}: the send timer rarely fired");
+    assert!(
+        log.fires.len() > 5 * N,
+        "{name}: the send timer rarely fired"
+    );
     assert!(forwards > 0, "{name}: the execution forwarded nothing");
     match P::TRIGGER {
         Trigger::Grid => {
