@@ -48,14 +48,17 @@ struct SendRecord {
 }
 
 /// Records every send with its cause, every firing of the send timer,
-/// and every arming of it (as `(node, hw of the node's last send, target)`).
+/// and every arming of it (with its cause, the hardware reading of the
+/// node's last send, and the target). A node's first arming is its start,
+/// even when a delivery initialized it.
 #[derive(Default)]
 struct TriggerLog {
     why: Vec<Option<Why>>,
     sends: Vec<SendRecord>,
     fires: Vec<(usize, f64)>,
-    arms: Vec<(usize, f64, f64)>,
+    arms: Vec<(usize, Why, f64, f64)>,
     last_send_hw: Vec<f64>,
+    armed: Vec<bool>,
 }
 
 impl EventSink for TriggerLog {
@@ -86,8 +89,12 @@ impl EventSink for TriggerLog {
                 target_hw,
                 ..
             } if timer == SEND => {
-                let last = self.last_send_hw[node.index()];
-                self.arms.push((node.index(), last, target_hw));
+                let v = node.index();
+                let why = match std::mem::replace(&mut self.armed[v], true) {
+                    false => Why::Wake,
+                    true => self.why[v].expect("an arming has a cause"),
+                };
+                self.arms.push((v, why, self.last_send_hw[v], target_hw));
             }
             _ => {}
         }
@@ -111,6 +118,7 @@ fn run<P: Policy, D: DelayModel>(
     let log = TriggerLog {
         why: vec![None; N],
         last_send_hw: vec![f64::NAN; N],
+        armed: vec![false; N],
         ..TriggerLog::default()
     };
     let mut engine = Engine::builder(topology::grid(3, 3))
@@ -184,7 +192,9 @@ fn check<P: Policy>(name: &str, expected: Trigger, run: Run) {
         }
         Trigger::Periodic => {
             // Every H₀ of hardware time since start: the timer fires on the
-            // k·H₀ lattice, untouched by the forwards in between.
+            // k·H₀ lattice, and forwards never touch it.
+            let rearmed = log.arms.iter().filter(|a| a.1 == Why::Deliver).count();
+            assert_eq!(rearmed, 0, "{name}: a forward re-armed the send timer");
             for &(v, hw) in &log.fires {
                 assert!(
                     off_grid(hw, h0) < 1e-6,
@@ -193,8 +203,10 @@ fn check<P: Policy>(name: &str, expected: Trigger, run: Run) {
             }
         }
         Trigger::Heartbeat => {
-            // Every broadcast re-arms the timer H₀ later.
-            for &(v, last, target) in &log.arms {
+            // Every broadcast, forwards included, re-arms the timer H₀ later.
+            let rearmed = log.arms.iter().filter(|a| a.1 == Why::Deliver).count();
+            assert!(rearmed > 0, "{name}: no forward re-armed the send timer");
+            for &(v, _, last, target) in &log.arms {
                 assert!(
                     (target - last - h0).abs() < 1e-9,
                     "{name}: node {v} armed for {target}, not H₀ after its send at {last}"
