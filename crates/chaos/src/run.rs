@@ -5,9 +5,7 @@
 
 use gcs_adversary::{apply_rate_faults, ChaosDelay};
 use gcs_analysis::{InvariantWatchdog, SkewObserver, WatchdogViolation};
-use gcs_core::{
-    AOpt, AOptJump, EnvelopeAOpt, MaxAlgorithm, MidpointAlgorithm, MinGapAOpt, NoSync, Params,
-};
+use gcs_core::Params;
 use gcs_graph::Graph;
 use gcs_sim::{Engine, EngineEvent, EventSink, MessageStats, Protocol, RecorderSink};
 use gcs_sweep::{build_delay, build_rates, parse_topology, SweepDelay};
@@ -140,21 +138,9 @@ pub fn run_scenario(spec: &ChaosSpec, threads: usize) -> Result<ScenarioOutcome,
         recorder: RecorderSink::new(),
     };
 
-    macro_rules! run {
-        ($protocols:expr) => {
-            exec(graph, $protocols, delay, schedules, horizon, threads, sinks)
-        };
-    }
-    let (sinks, stats) = match spec.algo.as_str() {
-        "aopt" => run!(vec![AOpt::new(params); n]),
-        "jump" => run!(vec![AOptJump::new(params); n]),
-        "mingap" => run!(vec![MinGapAOpt::new(params); n]),
-        "envelope" => run!(vec![EnvelopeAOpt::new(params); n]),
-        "max" => run!(vec![MaxAlgorithm::new(1.0); n]),
-        "midpoint" => run!(vec![MidpointAlgorithm::new(params.h0(), params.mu()); n]),
-        "nosync" => run!(vec![NoSync; n]),
-        other => return Err(format!("unknown algorithm `{other}`")),
-    };
+    let (sinks, stats) = gcs_sweep::with_algo!(spec.algo.as_str(), params, n, |protocols| {
+        exec(graph, protocols, delay, schedules, horizon, threads, sinks)
+    });
 
     let violation = sinks.watchdog.trip().map(|trip| trip.violation.clone());
     let recorder_window = violation.is_some().then(|| sinks.recorder.window_events());

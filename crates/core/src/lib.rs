@@ -21,10 +21,13 @@
 //! broadcast and the send counter, `setClockRate` and the Algorithm 4 rate
 //! timer. A policy supplies only its hooks: message encoding and decoding
 //! ([`Policy::emit`], [`Policy::receive`], where received values may be
-//! compensated), the send [`Trigger`], the `L_v^max` model ([`Policy::init`],
-//! [`Policy::adopt`], [`Policy::apply_rate`]), the effective `κ`
-//! ([`Policy::kappa`]), and jump vs. rate boost ([`Policy::JUMP`]). The
-//! variant types are aliases of the core (`AOptJump = AOptCore<Jump>`, …).
+//! compensated), the send [`Trigger`] ([`Policy::TRIGGER`], and
+//! [`Policy::send_due`] to skip a grid send), the `L_v^max` model (plain
+//! offset, or damped with crossing timers: [`Policy::DAMPED`],
+//! [`Policy::adopt`]), the effective `κ` ([`Policy::kappa`]), and jump vs.
+//! rate boost ([`Policy::JUMP`]). The variant types are aliases of the
+//! core (`AOptJump = AOptCore<Jump>`, …), so each keeps its name and
+//! constructor.
 //!
 //! # Variants (paper Section 8 and remarks)
 //!

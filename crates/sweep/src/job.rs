@@ -3,9 +3,7 @@
 
 use gcs_adversary::{apply_rate_faults, ChaosDelay};
 use gcs_analysis::{InvariantWatchdog, MetricsSink, SkewObserver};
-use gcs_core::{
-    AOpt, AOptJump, EnvelopeAOpt, MaxAlgorithm, MidpointAlgorithm, MinGapAOpt, NoSync, Params,
-};
+use gcs_core::Params;
 use gcs_graph::Graph;
 use gcs_sim::{Engine, EngineEvent, EventSink, MessageStats, Protocol, RecorderSink};
 use gcs_time::{DriftBounds, RateSchedule};
@@ -212,21 +210,9 @@ fn run_job_inner(job: &JobSpec) -> Result<JobExecution, String> {
     let delay = ChaosDelay::new(delay, clauses, job.seed);
     let sinks = JobSinks::new(&graph, params, drift, job.watchdog);
 
-    macro_rules! run {
-        ($protocols:expr) => {
-            exec(graph, $protocols, delay, schedules, horizon, sinks)
-        };
-    }
-    let executed = match job.algo.as_str() {
-        "aopt" => run!(vec![AOpt::new(params); n]),
-        "jump" => run!(vec![AOptJump::new(params); n]),
-        "mingap" => run!(vec![MinGapAOpt::new(params); n]),
-        "envelope" => run!(vec![EnvelopeAOpt::new(params); n]),
-        "max" => run!(vec![MaxAlgorithm::new(1.0); n]),
-        "midpoint" => run!(vec![MidpointAlgorithm::new(params.h0(), params.mu()); n]),
-        "nosync" => run!(vec![NoSync; n]),
-        other => return Err(format!("unknown algorithm `{other}`")),
-    };
+    let executed = crate::with_algo!(job.algo.as_str(), params, n, |protocols| {
+        exec(graph, protocols, delay, schedules, horizon, sinks)
+    });
     let (sinks, outcome, panicked) = match executed {
         Ok((mut sinks, stats)) => {
             sinks.metrics.flush_rate_window(horizon);

@@ -52,6 +52,10 @@ pub use agg::{Stat, SweepAggregate};
 pub use dedupe::{run_sweep_deduped, DedupePlan};
 pub use job::{run_job, run_job_full, JobExecution, JobResult};
 pub use parse::{build_delay, build_rates, parse_topology, SweepDelay, ALGOS};
+
+/// The crate [`with_algo!`] builds its protocols from.
+#[doc(hidden)]
+pub use gcs_core as __core;
 pub use pool::{run_pool, run_pool_timed, JobOutcome, PoolProgress, PoolStats};
 pub use spec::{JobSpec, SweepSpec};
 

@@ -11,10 +11,46 @@ use gcs_sim::{
 };
 use gcs_time::{DriftBounds, RateSchedule};
 
-/// Algorithm names the sweep job runner can instantiate.
-pub const ALGOS: &[&str] = &[
-    "aopt", "jump", "mingap", "envelope", "max", "midpoint", "nosync",
-];
+/// Algorithm names the sweep job runner can instantiate, in the order of
+/// the [`with_algo!`](crate::with_algo) table.
+pub const ALGOS: &[&str] = crate::with_algo!(@table names () ());
+
+/// The one table of runnable algorithms: `gcs run`, sweep jobs and chaos
+/// scenarios all dispatch through it, and [`ALGOS`] lists its names.
+///
+/// `with_algo!(name, params, n, |protocols| body)` evaluates `body` with
+/// `protocols` bound to `n` fresh nodes of algorithm `name`, built from
+/// `params` (a `gcs_core::Params`). For an unknown name the enclosing
+/// function returns `Err("unknown algorithm `name`")`.
+#[macro_export]
+macro_rules! with_algo {
+    ($algo:expr, $params:expr, $n:expr, |$protocols:ident| $run:expr) => {
+        $crate::with_algo!(@table dispatch ($algo, $n, $protocols, $run) $params)
+    };
+    (@table $mode:ident $args:tt $p:expr) => {
+        $crate::with_algo!(@$mode $args
+            "aopt" => $crate::__core::AOpt::new($p),
+            "jump" => $crate::__core::AOptJump::new($p),
+            "mingap" => $crate::__core::MinGapAOpt::new($p),
+            "envelope" => $crate::__core::EnvelopeAOpt::new($p),
+            "max" => $crate::__core::MaxAlgorithm::new(1.0),
+            "midpoint" => $crate::__core::MidpointAlgorithm::new($p.h0(), $p.mu()),
+            "nosync" => $crate::__core::NoSync,
+        )
+    };
+    (@names () $($name:literal => $node:expr,)*) => {
+        &[$($name),*]
+    };
+    (@dispatch ($algo:expr, $n:expr, $protocols:ident, $run:expr) $($name:literal => $node:expr,)*) => {
+        match $algo {
+            $($name => {
+                let $protocols = vec![$node; $n];
+                $run
+            })*
+            other => return Err(format!("unknown algorithm `{other}`")),
+        }
+    };
+}
 
 /// Checks `name` is a runnable algorithm.
 pub fn known_algo(name: &str) -> Result<(), String> {

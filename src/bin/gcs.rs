@@ -33,9 +33,7 @@ use clock_sync::bench::{diff as bench_diff, parse_artifact, run_serve_bench, Ser
 use clock_sync::chaos::{
     run_batch, run_scenario, shrink as shrink_scenario, BatchConfig, ChaosSpec, ScenarioOutcome,
 };
-use clock_sync::core::{
-    AOpt, AOptJump, EnvelopeAOpt, MaxAlgorithm, MidpointAlgorithm, MinGapAOpt, NoSync, Params,
-};
+use clock_sync::core::{AOpt, AOptJump, NoSync, Params};
 use clock_sync::forensics::{
     blame, decode_dump, export_chrome, is_recorder_dump, parse_stream, ClockReconstruction, Dag,
     TraceSummary,
@@ -1288,21 +1286,9 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             || (opts.values.contains_key("heartbeat") && !opts.flag("deterministic-heartbeat")),
         threads,
     };
-    macro_rules! dispatch {
-        ($protocols:expr) => {
-            run_any(graph.clone(), $protocols, delay, schedules, sinks, exec)?
-        };
-    }
-    let mut output = match algo {
-        "aopt" => dispatch!(vec![AOpt::new(params); n]),
-        "jump" => dispatch!(vec![AOptJump::new(params); n]),
-        "mingap" => dispatch!(vec![MinGapAOpt::new(params); n]),
-        "envelope" => dispatch!(vec![EnvelopeAOpt::new(params); n]),
-        "max" => dispatch!(vec![MaxAlgorithm::new(1.0); n]),
-        "midpoint" => dispatch!(vec![MidpointAlgorithm::new(params.h0(), params.mu()); n]),
-        "nosync" => dispatch!(vec![NoSync; n]),
-        other => return Err(format!("unknown algorithm `{other}`")),
-    };
+    let mut output = clock_sync::sweep::with_algo!(algo, params, n, |protocols| {
+        run_any(graph.clone(), protocols, delay, schedules, sinks, exec)?
+    });
     let observer = &output.observer;
     let stats = &output.stats;
 
