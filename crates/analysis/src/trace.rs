@@ -1,7 +1,7 @@
 //! Exact skew observation over an execution.
 
 use gcs_graph::Graph;
-use gcs_sim::{DelayModel, Engine, EngineEvent, EventSink, Protocol};
+use gcs_sim::{DelayModel, Engine, EngineEvent, EventSink, Kinked, Protocol};
 
 /// One decimated time-series point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,6 +20,20 @@ pub struct SkewSample {
 /// Feed it from [`Engine::run_until_observed`]; because logical clocks are
 /// piecewise linear between events, per-event observation captures exact
 /// worst cases.
+///
+/// Installed as an [`EventSink`], it uses the engine's *kink cadence* (see
+/// [`gcs_sim::sink`]): the global skew is evaluated at every kink snapshot,
+/// the local skew only on the kinked nodes' incident edges, and both over
+/// all nodes and edges at every `run_until` horizon. The running maxima —
+/// values, times and pairs — are those of the per-event cadence, at a
+/// fraction of the cost, up to floating-point rounding on stretches where
+/// the sampled skew is flat (see the [`gcs_sim::sink`] docs). Between
+/// horizons the maxima may lag: the global skew since the last kink, and
+/// the local skew of edges whose endpoints have not kinked since. Read
+/// them after a horizon (or after an
+/// [`observe_clocks`](Self::observe_clocks) of the current state). With a
+/// [time series](Self::with_series) the sink falls back to per-event
+/// snapshots, because every sample needs the full local skew.
 ///
 /// # Example
 ///
@@ -45,6 +59,10 @@ pub struct SkewSample {
 #[derive(Debug, Clone)]
 pub struct SkewObserver {
     edges: Vec<(usize, usize)>,
+    /// Incident edge indices of node `v` (ascending):
+    /// `incident[incident_start[v]..incident_start[v + 1]]`.
+    incident_start: Vec<usize>,
+    incident: Vec<usize>,
     worst_global: f64,
     worst_local: f64,
     worst_global_at: f64,
@@ -60,8 +78,28 @@ pub struct SkewObserver {
 impl SkewObserver {
     /// Creates an observer for executions on `graph`.
     pub fn new(graph: &Graph) -> Self {
+        let edges: Vec<(usize, usize)> =
+            graph.edges().map(|(a, b)| (a.index(), b.index())).collect();
+        let mut incident_start = vec![0; graph.len() + 1];
+        for &(a, b) in &edges {
+            incident_start[a + 1] += 1;
+            incident_start[b + 1] += 1;
+        }
+        for v in 0..graph.len() {
+            incident_start[v + 1] += incident_start[v];
+        }
+        let mut fill = incident_start.clone();
+        let mut incident = vec![0; 2 * edges.len()];
+        for (e, &(a, b)) in edges.iter().enumerate() {
+            for v in [a, b] {
+                incident[fill[v]] = e;
+                fill[v] += 1;
+            }
+        }
         SkewObserver {
-            edges: graph.edges().map(|(a, b)| (a.index(), b.index())).collect(),
+            edges,
+            incident_start,
+            incident,
             worst_global: 0.0,
             worst_local: 0.0,
             worst_global_at: 0.0,
@@ -93,8 +131,58 @@ impl SkewObserver {
     }
 
     /// Records a clock vector sampled at time `t` (e.g. from an
-    /// [`EventSink::snapshot`] callback).
+    /// [`EventSink::snapshot`] callback): every node and every edge,
+    /// `O(n + m)`.
     pub fn observe_clocks(&mut self, t: f64, clocks: &[f64]) {
+        let local = self.max_edge_skew(clocks, 0..self.edges.len());
+        self.record(t, clocks, local);
+    }
+
+    /// Records a kink snapshot: the global skew over all of `clocks`, the
+    /// local skew over the edges incident to `kinked` only.
+    pub fn observe_kinks(&mut self, t: f64, clocks: &[f64], kinked: Kinked<'_>) {
+        let Kinked::Nodes(nodes) = kinked else {
+            return self.observe_clocks(t, clocks);
+        };
+        let incident = nodes.iter().flat_map(|v| {
+            let v = v.index();
+            self.incident[self.incident_start[v]..self.incident_start[v + 1]]
+                .iter()
+                .copied()
+        });
+        let local = self.max_edge_skew(clocks, incident);
+        self.record(t, clocks, local);
+    }
+
+    /// The largest `|L_a − L_b|` over the given edge indices, with its
+    /// `(ahead, behind)` pair; among equal skews the lowest edge index
+    /// wins, so any subset reports what a full scan in edge order would.
+    fn max_edge_skew(
+        &self,
+        clocks: &[f64],
+        edges: impl Iterator<Item = usize>,
+    ) -> (f64, (usize, usize)) {
+        let mut local: f64 = 0.0;
+        let mut best = usize::MAX;
+        for e in edges {
+            let (a, b) = self.edges[e];
+            let skew = (clocks[a] - clocks[b]).abs();
+            if skew > local || (skew == local && skew > 0.0 && e < best) {
+                local = skew;
+                best = e;
+            }
+        }
+        let pair = match self.edges.get(best) {
+            Some(&(a, b)) if clocks[a] >= clocks[b] => (a, b),
+            Some(&(a, b)) => (b, a),
+            None => (0, 0),
+        };
+        (local, pair)
+    }
+
+    /// Folds one observation into the running maxima: the global skew of
+    /// `clocks` and the already-evaluated `local` skew.
+    fn record(&mut self, t: f64, clocks: &[f64], (local, local_pair): (f64, (usize, usize))) {
         self.observations += 1;
         let mut max = f64::MIN;
         let mut min = f64::MAX;
@@ -111,19 +199,6 @@ impl SkewObserver {
             }
         }
         let global = max - min;
-        let mut local: f64 = 0.0;
-        let mut local_pair = (0, 0);
-        for &(a, b) in &self.edges {
-            let skew = (clocks[a] - clocks[b]).abs();
-            if skew > local {
-                local = skew;
-                local_pair = if clocks[a] >= clocks[b] {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-            }
-        }
         if global > self.worst_global {
             self.worst_global = global;
             self.worst_global_at = t;
@@ -186,7 +261,8 @@ impl SkewObserver {
 }
 
 /// As a sink, the observer ignores the event stream and samples exact skew
-/// from the per-event snapshots.
+/// at the kink cadence — or per event when it keeps a time series. A direct
+/// [`EventSink::snapshot`] call is always a full `O(n + m)` observation.
 impl EventSink for SkewObserver {
     fn enabled(&self) -> bool {
         false
@@ -195,11 +271,19 @@ impl EventSink for SkewObserver {
     fn record(&mut self, _event: &EngineEvent) {}
 
     fn wants_snapshots(&self) -> bool {
-        true
+        self.series_interval.is_some()
     }
 
     fn snapshot(&mut self, t: f64, clocks: &[f64], _queue_depth: usize) {
         self.observe_clocks(t, clocks);
+    }
+
+    fn wants_kink_snapshots(&self) -> bool {
+        self.series_interval.is_none()
+    }
+
+    fn kink_snapshot(&mut self, t: f64, clocks: &[f64], kinked: Kinked<'_>, _queue_depth: usize) {
+        self.observe_kinks(t, clocks, kinked);
     }
 }
 

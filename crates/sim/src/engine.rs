@@ -8,7 +8,7 @@ use crate::pending::{PendingHw, PendingSlab};
 use crate::profile::EngineProfile;
 use crate::protocol::{Action, Context, Protocol, TimerId};
 use crate::queue::EventQueue;
-use crate::sink::{EngineEvent, EventSink, NullSink};
+use crate::sink::{EngineEvent, EventSink, Kinked, NullSink};
 use std::time::Instant;
 
 /// Counters over the messages exchanged in an execution.
@@ -87,6 +87,17 @@ pub(crate) struct HotNode {
     last_multiplier: f64,
 }
 
+/// A node's clock line just before a handler runs (kink tracking).
+#[derive(Debug, Clone, Copy)]
+struct ClockLine {
+    /// `L_v` at the previous sample time, `prev_now`.
+    prev: f64,
+    /// `L_v` at `now`.
+    now: f64,
+    /// The multiplier, `L_v`'s slope in `H_v`.
+    slope: f64,
+}
+
 /// Cold per-node plane: rate-schedule and arming-path state that typical
 /// wakes never read, kept off the hot cache lines.
 #[derive(Debug, Clone)]
@@ -137,6 +148,9 @@ const PENDING_PREALLOC: usize = 4;
 
 /// Pre-reserved timer-slot index entries per node (same sizing argument).
 const TIMER_SLOT_PREALLOC: usize = 4;
+
+/// Pre-reserved kinked-node buffer: an event kinks at most its home node.
+const KINKED_PREALLOC: usize = 4;
 
 /// Builder for [`Engine`].
 ///
@@ -258,6 +272,9 @@ impl<P: Protocol, D: DelayModel, S: EventSink> EngineBuilder<P, D, S> {
             },
             sink: self.sink,
             clock_buf: Vec::with_capacity(n),
+            kinked: Vec::with_capacity(KINKED_PREALLOC),
+            jump: None,
+            prev_now: 0.0,
             action_buf: Vec::with_capacity(8),
             profile: self.profiling.then(Box::default),
             remote: None,
@@ -289,6 +306,15 @@ pub struct Engine<P: Protocol, D: DelayModel, S: EventSink = NullSink> {
     pub(crate) sink: S,
     /// Scratch buffer for per-event logical-clock snapshots.
     pub(crate) clock_buf: Vec<f64>,
+    /// Nodes whose clock line kinked since the last kink snapshot; filled
+    /// only when the sink wants kink snapshots.
+    pub(crate) kinked: Vec<NodeId>,
+    /// The node whose handler made its clock jump in the current event,
+    /// with its value at `prev_now` before the jump (kink cadence only).
+    pub(crate) jump: Option<(NodeId, f64)>,
+    /// `now` before the current event: the time of the previous per-event
+    /// sample.
+    pub(crate) prev_now: f64,
     /// Reusable action buffer lent to each protocol handler's [`Context`]
     /// and drained by `apply_actions` — no per-event `Vec` allocation.
     pub(crate) action_buf: Vec<Action<P::Msg>>,
@@ -431,6 +457,10 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                 rate,
             });
         }
+        // The kink is at `now`, between events: report it at once, so the
+        // new clock line's starting point is observed.
+        self.mark_kink(v);
+        self.report_state(false, false);
         self.reschedule_pending(v);
     }
 
@@ -450,6 +480,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         let (time, kind) = self.queue.pop()?;
         debug_assert!(time >= self.now - 1e-9, "event in the past");
         let started = self.profile.as_ref().map(|_| Instant::now());
+        self.prev_now = self.now;
         self.now = self.now.max(time);
         self.dispatch(kind);
         self.maybe_snapshot();
@@ -471,7 +502,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             self.step();
         }
         self.now = t;
-        self.maybe_snapshot();
+        self.horizon_snapshot();
     }
 
     /// Like [`Engine::run_until`], invoking `observer` after every processed
@@ -492,7 +523,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             observer(self);
         }
         self.now = t;
-        self.maybe_snapshot();
+        self.horizon_snapshot();
         observer(self);
     }
 
@@ -502,25 +533,109 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
 
     /// Reports the post-event state to the sink, if it wants state.
     pub(crate) fn maybe_snapshot(&mut self) {
-        if !self.sink.wants_snapshots() {
+        self.report_state(self.sink.wants_snapshots(), false);
+    }
+
+    /// Reports the state at a `run_until` horizon: a per-event snapshot
+    /// and a kink snapshot of every node, as far as the sink wants them.
+    pub(crate) fn horizon_snapshot(&mut self) {
+        self.report_state(self.sink.wants_snapshots(), true);
+    }
+
+    /// Builds the clock vector once and hands it to the sink: as a
+    /// per-event snapshot when `per_event`, and as a kink snapshot when the
+    /// sink wants kinks and some node kinked (every node at a `horizon`).
+    ///
+    /// A jump is a kink the per-event cadence sees from both sides: the
+    /// jumping node's old line ends at the previous sample, not at the jump
+    /// (the pre-jump value at `now` is never a sample). So a jump first
+    /// reports the previous sample's state, rebuilt at `prev_now` — only
+    /// the jumping node changed since, and its old value was kept.
+    fn report_state(&mut self, per_event: bool, horizon: bool) {
+        let kinks = self.sink.wants_kink_snapshots() && (horizon || !self.kinked.is_empty());
+        if !per_event && !kinks {
             return;
         }
         let started = self.profile.as_ref().map(|_| Instant::now());
         let mut buf = std::mem::take(&mut self.clock_buf);
-        buf.clear();
+        let depth = self.queue.len();
+        if let Some(jump) = self.jump.take() {
+            self.fill_clocks(&mut buf, self.prev_now, Some(jump));
+            self.sink
+                .kink_snapshot(self.prev_now, &buf, Kinked::Nodes(&[jump.0]), depth);
+        }
         let now = self.now;
-        buf.extend(
-            self.nodes
-                .proto
-                .iter()
-                .zip(&self.nodes.hot)
-                .map(|(p, h)| p.logical_value(h.hw.value_at(now))),
-        );
-        self.sink.snapshot(now, &buf, self.queue.len());
+        self.fill_clocks(&mut buf, now, None);
+        if per_event {
+            self.sink.snapshot(now, &buf, depth);
+        }
+        if kinks {
+            let kinked = if horizon {
+                Kinked::All
+            } else {
+                Kinked::Nodes(&self.kinked)
+            };
+            self.sink.kink_snapshot(now, &buf, kinked, depth);
+            self.kinked.clear();
+        }
         self.clock_buf = buf;
         if let (Some(profile), Some(started)) = (self.profile.as_deref_mut(), started) {
             profile.snapshot += started.elapsed();
             profile.snapshots += 1;
+        }
+    }
+
+    /// Overwrites `buf` with every node's logical clock at time `t`;
+    /// `jump` substitutes one node's value (its hardware clock may start
+    /// after `t`).
+    fn fill_clocks(&self, buf: &mut Vec<f64>, t: f64, jump: Option<(NodeId, f64)>) {
+        let clock = |(p, h): (&P, &HotNode)| p.logical_value(h.hw.value_at(t));
+        let planes = self.nodes.proto.iter().zip(&self.nodes.hot);
+        buf.clear();
+        match jump {
+            None => buf.extend(planes.map(clock)),
+            Some((v, value)) => {
+                buf.extend(planes.clone().take(v.index()).map(clock));
+                buf.push(value);
+                buf.extend(planes.skip(v.index() + 1).map(clock));
+            }
+        }
+    }
+
+    /// Marks `v`'s clock line as kinked, for the next kink snapshot.
+    fn mark_kink(&mut self, v: NodeId) {
+        if self.sink.wants_kink_snapshots() && self.kinked.last() != Some(&v) {
+            self.kinked.push(v);
+        }
+    }
+
+    /// `v`'s clock line before a handler, when kinks are tracked: its
+    /// value at `prev_now` and at `now`, and its slope.
+    fn clock_line(&self, v: NodeId) -> Option<ClockLine> {
+        self.sink.wants_kink_snapshots().then(|| {
+            let proto = &self.nodes.proto[v.index()];
+            let hw = &self.nodes.hot[v.index()].hw;
+            ClockLine {
+                prev: proto.logical_value(hw.value_at(self.prev_now)),
+                now: proto.logical_value(hw.value_at(self.now)),
+                slope: proto.rate_multiplier(),
+            }
+        })
+    }
+
+    /// Marks `v` kinked if its handler moved its clock line off `before`:
+    /// a changed value at `now` is a jump, a changed multiplier a switch.
+    fn note_line(&mut self, v: NodeId, before: Option<ClockLine>) {
+        let Some(before) = before else {
+            return;
+        };
+        let proto = &self.nodes.proto[v.index()];
+        let now = proto.logical_value(self.nodes.hot[v.index()].hw.value_at(self.now));
+        if now != before.now {
+            self.jump = Some((v, before.prev));
+            self.mark_kink(v);
+        } else if proto.rate_multiplier() != before.slope {
+            self.mark_kink(v);
         }
     }
 
@@ -561,7 +676,9 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         if self.nodes.hot[v.index()].hw.is_started() {
             return;
         }
+        let line = self.clock_line(v);
         self.start_node(v);
+        self.mark_kink(v);
         let hw = self.hardware_value(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::Wake {
@@ -577,6 +694,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             self.nodes.proto[v.index()].on_start(&mut ctx);
         }
         self.note_protocol(started);
+        self.note_line(v, line);
         self.apply_actions(v, &mut actions);
         self.action_buf = actions;
         self.note_multiplier(v);
@@ -621,6 +739,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         }
         let rate = self.nodes.cold[i].schedule.rate_at(at);
         self.nodes.hot[i].hw.set_rate(self.now, rate);
+        self.mark_kink(v);
         if self.sink.enabled() {
             self.sink.record(&EngineEvent::RateStep {
                 node: v,
@@ -644,8 +763,10 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
         self.stats.deliveries += 1;
         self.stats.per_node_deliveries[dst.index()] += 1;
         let fresh = !self.nodes.hot[dst.index()].hw.is_started();
+        let line = self.clock_line(dst);
         if fresh {
             self.start_node(dst);
+            self.mark_kink(dst);
         }
         let hw = self.hardware_value(dst);
         if self.sink.enabled() {
@@ -674,6 +795,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
             proto.on_message(&mut ctx, src, msg);
         }
         self.note_protocol(started);
+        self.note_line(dst, line);
         self.apply_actions(dst, &mut actions);
         self.action_buf = actions;
         self.note_multiplier(dst);
@@ -713,6 +835,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                         hw,
                     });
                 }
+                let line = self.clock_line(v);
                 let started = self.profile.as_ref().map(|_| Instant::now());
                 let mut actions = std::mem::take(&mut self.action_buf);
                 {
@@ -720,6 +843,7 @@ impl<P: Protocol, D: DelayModel, S: EventSink> Engine<P, D, S> {
                     self.nodes.proto[v.index()].on_timer(&mut ctx, timer);
                 }
                 self.note_protocol(started);
+                self.note_line(v, line);
                 self.apply_actions(v, &mut actions);
                 self.action_buf = actions;
                 self.note_multiplier(v);

@@ -40,7 +40,7 @@ use crate::delay::DelayModel;
 use crate::engine::{Engine, EventKind, MessageStats};
 use crate::protocol::Protocol;
 use crate::queue::EventQueue;
-use crate::sink::{EngineEvent, EventSink};
+use crate::sink::{EngineEvent, EventSink, Kinked};
 
 /// Base of the provisional sequence range. A partition's `seq` counter is
 /// reset to this at every window start, so `seq - PROV_BASE` is the
@@ -207,7 +207,7 @@ impl<P: Protocol> ReplayState<P> {
 }
 
 /// The serial snapshot reconstructor, used when the real sink wants
-/// per-event snapshots. It shadows every node's snapshot-relevant state
+/// per-event or kink snapshots. It shadows every node's snapshot-relevant state
 /// (`hw`, `proto`) and the global queue depth, updating both from each
 /// replayed pop, and feeds the sink the **exact** snapshot the sequential
 /// engine would have produced after that pop: the clock buffer is computed
@@ -243,7 +243,13 @@ impl<P: Protocol> SnapReplay<P> {
                 .zip(&self.hw)
                 .map(|(p, hw)| p.logical_value(hw.value_at(now))),
         );
-        sink.snapshot(now, &self.clock_buf, self.depth);
+        if sink.wants_snapshots() {
+            sink.snapshot(now, &self.clock_buf, self.depth);
+        }
+        // The replay cannot tell kinks apart; every node counts as kinked.
+        if sink.wants_kink_snapshots() {
+            sink.kink_snapshot(now, &self.clock_buf, Kinked::All, self.depth);
+        }
         self.snapshots += 1;
         self.dur += started.elapsed();
     }
@@ -262,9 +268,11 @@ where
     /// The observable execution — event stream, per-event snapshots,
     /// protocol states, message statistics, final clocks — is
     /// **byte-identical** to `run_until` at any thread count. Sinks that
-    /// want per-event snapshots (metrics, watchdog, skew observer, clock
-    /// traces) are served by the barrier replay, which reconstructs every
-    /// snapshot serially in exact sequential order (see [`SnapReplay`]).
+    /// want per-event snapshots (metrics, watchdog, clock traces) are
+    /// served by the barrier replay, which reconstructs every snapshot
+    /// serially in exact sequential order from the partitions' logged
+    /// post-event node states. Kink-cadence sinks (the skew observer) get
+    /// a kink snapshot of every node after each replayed event.
     /// Parallel execution engages only when it can be proven safe;
     /// otherwise this transparently runs the sequential loop:
     ///
@@ -286,7 +294,7 @@ where
             let completed = self.parallel_phase(t, k);
             if completed >= t {
                 self.now = t;
-                self.maybe_snapshot();
+                self.horizon_snapshot();
                 return;
             }
             // Lookahead expired mid-run; fall through with `now` at the last
@@ -305,7 +313,8 @@ where
         if k < 2 {
             return self.now;
         }
-        let mut snap = self.sink.wants_snapshots().then(|| SnapReplay {
+        let wants_state = self.sink.wants_snapshots() || self.sink.wants_kink_snapshots();
+        let mut snap = wants_state.then(|| SnapReplay {
             hw: self.nodes.hot.iter().map(|n| n.hw.clone()).collect(),
             protos: self.nodes.proto.clone(),
             clock_buf: Vec::with_capacity(self.nodes.len()),
@@ -534,6 +543,9 @@ where
                     on: self.sink.enabled(),
                 },
                 clock_buf: Vec::new(),
+                kinked: Vec::new(),
+                jump: None,
+                prev_now: self.now,
                 action_buf: Vec::with_capacity(8),
                 profile: None,
                 remote: Some(Box::new(RemoteCtx {
@@ -541,7 +553,7 @@ where
                     owner: Arc::clone(owner),
                     outbox: vec![Vec::new(); k],
                     records: Vec::new(),
-                    log_state: self.sink.wants_snapshots(),
+                    log_state: self.sink.wants_snapshots() || self.sink.wants_kink_snapshots(),
                     states: Vec::new(),
                     pops: 0,
                     run_dur: Duration::ZERO,

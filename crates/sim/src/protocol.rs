@@ -41,15 +41,28 @@ pub trait Protocol: Clone {
     /// Used by the engine and the analysis layer to observe `L_v(t)`; must
     /// be a pure function of protocol state and `hw` (with `hw` at or after
     /// the last event the protocol handled).
+    ///
+    /// **Contract.** Between two of the node's own handler calls,
+    /// `logical_value` is affine in `hw` with slope
+    /// [`rate_multiplier`](Protocol::rate_multiplier): the logical clock
+    /// changes slope only when the multiplier does, and any discontinuity
+    /// (a jump, as in `MaxAlgorithm` or `AOptJump`) happens inside a
+    /// handler. Since hardware rates are piecewise constant, every logical
+    /// clock is then piecewise linear in real time, with kinks only at the
+    /// node's wake, hardware-rate steps, multiplier switches and jumps.
+    /// The engine's kink cadence (see the [`sink`](crate::sink) module)
+    /// relies on this to observe exact skew maxima without a per-event
+    /// snapshot; a wrapper protocol must forward both methods.
     fn logical_value(&self, hw: f64) -> f64;
 
     /// The current logical-rate multiplier relative to the hardware clock
-    /// (`A^opt` runs in fast mode at `1 + μ`, normal mode at `1`).
+    /// (`A^opt` runs in fast mode at `1 + μ`, normal mode at `1`) — the
+    /// slope of [`logical_value`](Protocol::logical_value) in `hw`.
     ///
-    /// Observability hook: the engine compares this after every handler and
-    /// reports changes to the installed [`EventSink`] as
-    /// [`EngineEvent::MultiplierChange`]. Protocols without a rate-switching
-    /// mechanism keep the default of `1.0`.
+    /// The engine compares this after every handler and reports changes to
+    /// the installed [`EventSink`] as [`EngineEvent::MultiplierChange`] and
+    /// as kinks. Protocols without a rate-switching mechanism keep the
+    /// default of `1.0`.
     ///
     /// [`EventSink`]: crate::EventSink
     /// [`EngineEvent::MultiplierChange`]: crate::EngineEvent::MultiplierChange

@@ -17,11 +17,54 @@
 //! `observer_overhead` micro-benchmark).
 //!
 //! Sinks that need *state* rather than *transitions* (skew observers,
-//! invariant watchdogs) additionally implement
-//! [`EventSink::snapshot`], which the engine calls after each processed
-//! event with the exact logical clock values — but only when
-//! [`EventSink::wants_snapshots`] returns `true`, because computing the
-//! clock vector costs `O(n)` per event.
+//! invariant watchdogs) choose one of two cadences:
+//!
+//! * **Per event.** [`EventSink::snapshot`] is called after each processed
+//!   event with the exact logical clock values — but only when
+//!   [`EventSink::wants_snapshots`] returns `true`, because computing the
+//!   clock vector costs `O(n)` per event. This is the oracle cadence:
+//!   every consumer that needs per-event state (metrics histograms, the
+//!   watchdog, heartbeats) uses it.
+//! * **At kinks.** [`EventSink::kink_snapshot`] is called only after
+//!   events that *kinked* some node's clock line, and at every
+//!   [`Engine::run_until`](crate::Engine::run_until) horizon — when
+//!   [`EventSink::wants_kink_snapshots`] returns `true`.
+//!
+//! A node's clock is kinked by its wake, a hardware-rate step (from the
+//! schedule or [`Engine::set_hardware_rate`](crate::Engine::set_hardware_rate)),
+//! a change of its protocol's
+//! [`rate_multiplier`](crate::Protocol::rate_multiplier), or a jump (a
+//! change of [`logical_value`](crate::Protocol::logical_value) at the
+//! node's current hardware reading across a handler). Between its own
+//! kinks a node's logical clock is affine in real time (hardware rates are
+//! piecewise constant, and the `Protocol` contract makes `L_v` affine in
+//! `H_v` between handlers), so:
+//!
+//! * the skew `L_u − L_w` of any pair is affine between the kinks of `u`
+//!   and `w`, and its absolute value peaks at one of them (or at the end
+//!   of the observed interval);
+//! * the global skew `max_v L_v − min_v L_v` is a max of affine functions
+//!   minus a min of affine functions between any two consecutive kinks of
+//!   the whole system — convex, so it too peaks at a kink or a horizon.
+//!
+//! Evaluating the global skew at every kink snapshot, and each kinked
+//! node's incident edges, therefore yields the running maxima the
+//! per-event cadence would see, at a fraction of the snapshots (12.7 % of
+//! events on a 32×32 `A^opt` grid). Evaluations at non-kink events add
+//! nothing: a new maximum there would force a larger one at the interval's
+//! far end, which is itself a kink or horizon. A jump is the one kink the
+//! per-event cadence sees from both sides — its samples of the old line
+//! end at the event *before* the jump — so after a jump the engine first
+//! reports that previous sample's state, then the post-jump state.
+//!
+//! The argument is exact in real arithmetic. In floating point the sampled
+//! skew of a pair is flat wherever its true change is below the rounding
+//! of the clock values — on a piece with equal slopes, or just before a
+//! kink. If a maximum lies on such a stretch, the per-event cadence
+//! reports the stretch's first (or highest-rounded) event, and the kink
+//! cadence the stretch's kink: the same pair, values within a few ulps,
+//! an earlier or later time. Everywhere else the two agree bit for bit
+//! (`tests/kink_cadence.rs`).
 
 use gcs_graph::NodeId;
 
@@ -249,6 +292,39 @@ pub trait EventSink {
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
         let _ = (t, clocks, queue_depth);
     }
+
+    /// Whether the sink wants [`EventSink::kink_snapshot`] calls — the
+    /// kink cadence (see the [module docs](self)). Independent of
+    /// [`EventSink::wants_snapshots`]: a sink asking for both gets both.
+    #[inline]
+    fn wants_kink_snapshots(&self) -> bool {
+        false
+    }
+
+    /// Called after each processed event that kinked at least one node's
+    /// clock line, with the exact logical clock values of all nodes, the
+    /// kinked nodes, and the event-queue depth; and once at the end of every
+    /// [`Engine::run_until`](crate::Engine::run_until) horizon with
+    /// [`Kinked::All`].
+    ///
+    /// The parallel driver cannot tell kinks apart in its barrier replay;
+    /// it calls this after every replayed event with [`Kinked::All`] — a
+    /// superset of the kink cadence, so the same maxima.
+    #[inline]
+    fn kink_snapshot(&mut self, t: f64, clocks: &[f64], kinked: Kinked<'_>, queue_depth: usize) {
+        let _ = (t, clocks, kinked, queue_depth);
+    }
+}
+
+/// Which nodes' clock lines a [`EventSink::kink_snapshot`] reports as
+/// changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kinked<'a> {
+    /// These nodes kinked at the snapshot's instant (no duplicates).
+    Nodes(&'a [NodeId]),
+    /// Treat every node as kinked: a horizon, where each pair's affine
+    /// piece ends, or a replayed event whose kinks are unknown.
+    All,
 }
 
 /// The default sink: observes nothing, costs nothing.
@@ -275,6 +351,12 @@ impl<S: EventSink + ?Sized> EventSink for Box<S> {
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
         (**self).snapshot(t, clocks, queue_depth);
     }
+    fn wants_kink_snapshots(&self) -> bool {
+        (**self).wants_kink_snapshots()
+    }
+    fn kink_snapshot(&mut self, t: f64, clocks: &[f64], kinked: Kinked<'_>, queue_depth: usize) {
+        (**self).kink_snapshot(t, clocks, kinked, queue_depth);
+    }
 }
 
 impl<S: EventSink> EventSink for Option<S> {
@@ -294,6 +376,14 @@ impl<S: EventSink> EventSink for Option<S> {
             s.snapshot(t, clocks, queue_depth);
         }
     }
+    fn wants_kink_snapshots(&self) -> bool {
+        self.as_ref().is_some_and(|s| s.wants_kink_snapshots())
+    }
+    fn kink_snapshot(&mut self, t: f64, clocks: &[f64], kinked: Kinked<'_>, queue_depth: usize) {
+        if let Some(s) = self {
+            s.kink_snapshot(t, clocks, kinked, queue_depth);
+        }
+    }
 }
 
 macro_rules! tuple_sinks {
@@ -310,6 +400,18 @@ macro_rules! tuple_sinks {
             }
             fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
                 $(self.$idx.snapshot(t, clocks, queue_depth);)+
+            }
+            fn wants_kink_snapshots(&self) -> bool {
+                $(self.$idx.wants_kink_snapshots())||+
+            }
+            fn kink_snapshot(
+                &mut self,
+                t: f64,
+                clocks: &[f64],
+                kinked: Kinked<'_>,
+                queue_depth: usize,
+            ) {
+                $(self.$idx.kink_snapshot(t, clocks, kinked, queue_depth);)+
             }
         }
     )*};

@@ -145,6 +145,10 @@ impl<P: Protocol> Protocol for Ticked<P> {
     fn logical_value(&self, hw: f64) -> f64 {
         self.inner.logical_value(hw)
     }
+
+    fn rate_multiplier(&self) -> f64 {
+        self.inner.rate_multiplier()
+    }
 }
 
 #[cfg(test)]

@@ -41,8 +41,8 @@ use clock_sync::forensics::{
 use clock_sync::graph::Graph;
 use clock_sync::serve::{ServeConfig, ServerHandle};
 use clock_sync::sim::{
-    DelayModel, DropCause, Engine, EngineEvent, EngineProfile, EventSink, MessageStats, Protocol,
-    RecorderSink,
+    DelayModel, DropCause, Engine, EngineEvent, EngineProfile, EventSink, Kinked, MessageStats,
+    Protocol, RecorderSink,
 };
 use clock_sync::sweep::{
     build_delay, build_rates, parse_topology, report, run_sweep_deduped, PoolProgress, SweepSpec,
@@ -733,9 +733,25 @@ fn cmd_bounds(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// When [`RunSinks`] samples engine state.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cadence {
+    /// After every event: some consumer (`--trace`, `--metrics`,
+    /// `--watchdog`, `--heartbeat`, `--skew-field`) needs per-event state.
+    /// Under `--threads K>1` the parallel driver's barrier-time snapshot
+    /// replay reconstructs the exact sequential per-event state.
+    PerEvent,
+    /// Only the skew observer: it sees the engine's kink snapshots, which
+    /// give the same exact running maxima.
+    Kinks,
+    /// Only the skew observer under `--threads K>1`: the run skips
+    /// sampling, and the observer sees a single snapshot at the horizon.
+    Horizon,
+}
+
 /// The `gcs run` observability pipeline: one statically composed
 /// [`EventSink`] feeding every requested consumer from a single event
-/// stream and a single per-event snapshot pass.
+/// stream and a single snapshot pass.
 struct RunSinks {
     observer: SkewObserver,
     /// The always-armed flight recorder: every event is encoded into a
@@ -753,12 +769,7 @@ struct RunSinks {
     /// Per-cause drop split for heartbeat `beat` records.
     dropped_model: u64,
     dropped_faults: u64,
-    /// Sample engine state after every event. Under `--threads K>1` this is
-    /// served by the parallel driver's barrier-time snapshot replay, which
-    /// reconstructs the exact sequential per-event state; without any
-    /// observer the run skips it and the observer sees a single snapshot
-    /// at the horizon instead.
-    per_event: bool,
+    cadence: Cadence,
 }
 
 /// Live `--heartbeat` state carried through the run by [`RunSinks`]: the
@@ -872,7 +883,7 @@ impl RunSinks {
         horizon: f64,
         opts: &Options,
         params: Params,
-        per_event: bool,
+        cadence: Cadence,
     ) -> Result<Self, String> {
         let trace = opts
             .values
@@ -958,7 +969,7 @@ impl RunSinks {
             skew_field,
             dropped_model: 0,
             dropped_faults: 0,
-            per_event,
+            cadence,
         })
     }
 }
@@ -998,7 +1009,15 @@ impl EventSink for RunSinks {
     }
 
     fn wants_snapshots(&self) -> bool {
-        self.per_event // the skew observer samples per-event state
+        self.cadence == Cadence::PerEvent
+    }
+
+    fn wants_kink_snapshots(&self) -> bool {
+        self.cadence == Cadence::Kinks
+    }
+
+    fn kink_snapshot(&mut self, t: f64, clocks: &[f64], kinked: Kinked<'_>, queue_depth: usize) {
+        self.observer.kink_snapshot(t, clocks, kinked, queue_depth);
     }
 
     fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
@@ -1108,7 +1127,7 @@ where
     let profile = engine.profile().cloned();
     let clocks = engine.logical_values();
     let mut sinks = engine.into_sink();
-    if !sinks.per_event {
+    if sinks.cadence == Cadence::Horizon {
         // The parallel driver skipped per-event sampling; give the observer
         // (and the report) at least the final state.
         sinks.observer.snapshot(horizon, &clocks, 0);
@@ -1201,7 +1220,7 @@ where
         metrics: sinks.metrics,
         trip,
         profile,
-        skews_are_maxima: sinks.per_event,
+        skews_are_maxima: sinks.cadence != Cadence::Horizon,
     })
 }
 
@@ -1268,13 +1287,14 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             ));
         }
     }
-    let sinks = RunSinks::new(
-        &graph,
-        horizon,
-        opts,
-        params,
-        threads == 1 || needs_snapshots,
-    )?;
+    let cadence = if needs_snapshots {
+        Cadence::PerEvent
+    } else if threads == 1 {
+        Cadence::Kinks
+    } else {
+        Cadence::Horizon
+    };
+    let sinks = RunSinks::new(&graph, horizon, opts, params, cadence)?;
 
     let exec = RunExec {
         horizon,

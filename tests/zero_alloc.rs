@@ -7,6 +7,9 @@
 //! handler, the `neighbors.to_vec()` broadcast clone, the collect-and-sort
 //! in rate-change rescheduling — would trip this test if reintroduced.
 //!
+//! The same holds with `gcs run`'s default observers (the skew observer
+//! at the kink cadence and the flight recorder) installed.
+//!
 //! This file holds a single `#[test]` on purpose: the allocator count is
 //! process-global, and a sibling test thread would pollute the window.
 
@@ -14,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gcs_adversary::WavefrontDelay;
+use gcs_analysis::SkewObserver;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
 use gcs_sim::{Engine, RecorderSink};
@@ -107,6 +111,41 @@ fn steady_state_window_makes_no_heap_allocations() {
     assert!(
         engine.sink().recorded() > recorded_before,
         "the recorder must have been recording during the window"
+    );
+
+    // `gcs run`'s default stack: the skew observer at the kink cadence
+    // beside the recorder. Kink detection, the clock-vector rebuild at
+    // kinks and the incident-edge evaluation all reuse preallocated
+    // buffers.
+    let graph = topology::path(n);
+    let observer = SkewObserver::new(&graph);
+    let delay = WavefrontDelay::new(&graph, NodeId(0), t_max, flip, boundary);
+    let schedules = build_rates("distsplit", &graph, drift, warmup_horizon, 0).unwrap();
+    let mut engine = Engine::builder(graph)
+        .protocols(vec![AOpt::new(params); n])
+        .delay_model(delay)
+        .rate_schedules(schedules)
+        .event_sink((observer, RecorderSink::new()))
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(warmup_horizon);
+
+    let observed_before = engine.sink().0.observations();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..10_000 {
+        engine
+            .step()
+            .expect("the wavefront fixture never drains its queue");
+    }
+    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocated, 0,
+        "kink-cadence skew observer allocated {allocated} times across a 10k-event window"
+    );
+    let observed = engine.sink().0.observations() - observed_before;
+    assert!(
+        (1..10_000).contains(&observed),
+        "the observer must have seen some, not all, events as kinks ({observed})"
     );
 
     // Large-n case: the SoA hot/cold node planes, the packed-key queue,
