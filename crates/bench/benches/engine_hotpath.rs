@@ -9,8 +9,9 @@
 //! size land in `BENCH_engine_hotpath.json` (`gcs-bench-result/v1`):
 //!
 //! * `events_per_sec_per_core/n=N` — the headline: steady-state dispatch
-//!   throughput divided by `config.cores` (1 here — the sequential engine),
-//!   comparable against the parallel engine's per-core numbers,
+//!   throughput divided by `config.engine_threads` (1 here — the
+//!   sequential engine), comparable against the parallel engine's
+//!   per-core numbers,
 //! * `events_per_sec/n=N`   — raw steady-state dispatch throughput,
 //! * `allocs_per_event/n=N` — heap allocations per dispatched event
 //!   (the engine's steady state is allocation-free; see
@@ -88,10 +89,10 @@ fn fixture(n: usize) -> Engine<AOpt, WavefrontDelay> {
 /// zero must hold across *every* window).
 const REPS: usize = 5;
 
-/// Cores used by the sequential engine — the divisor behind the
+/// Threads used by the sequential engine — the divisor behind the
 /// `events_per_sec_per_core` headline, so sequential and parallel
 /// artifacts report on one scale.
-const CORES: u64 = 1;
+const ENGINE_THREADS: u64 = 1;
 
 /// Steps `REPS` windows of exactly `window` events each, returning the
 /// fastest window's wall seconds and the total allocations.
@@ -133,7 +134,7 @@ fn main() {
         .config("warmup_horizon", WARMUP_HORIZON)
         .config("window_events", window)
         .config("reps_best_of", REPS)
-        .config("cores", CORES)
+        .config("engine_threads", ENGINE_THREADS)
         .config("quick", quick);
 
     let mut table = Table::new(vec!["n", "events/sec/core", "ns/event", "allocs/event"]);
@@ -145,13 +146,13 @@ fn main() {
         let allocs_per_event = allocs as f64 / (REPS as u64 * window) as f64;
         results.metric(
             &format!("events_per_sec_per_core/n={n}"),
-            events_per_sec / CORES as f64,
+            events_per_sec / ENGINE_THREADS as f64,
         );
         results.metric(&format!("events_per_sec/n={n}"), events_per_sec);
         results.metric(&format!("allocs_per_event/n={n}"), allocs_per_event);
         table.row(vec![
             n.to_string(),
-            format!("{:.0}", events_per_sec / CORES as f64),
+            format!("{:.0}", events_per_sec / ENGINE_THREADS as f64),
             format!("{:.0}", 1e9 * wall / window as f64),
             f2(allocs_per_event),
         ]);

@@ -131,7 +131,6 @@ fn main() {
     let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     let horizon: f64 = if quick { 15.0 } else { 30.0 };
     let reps: usize = if quick { 1 } else { 2 };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut results = BenchReport::new("engine_parallel");
     results
@@ -140,7 +139,6 @@ fn main() {
         .config("t", T_MAX)
         .config("horizon", horizon)
         .config("reps_best_of", reps)
-        .config("cores", cores)
         .config("quick", quick);
 
     let mut table = Table::new(vec!["n", "threads", "events/sec", "speedup"]);

@@ -12,14 +12,19 @@
 //!
 //! A second row at n = 4096 checks that the recorder's cost stays flat as
 //! the node count (and hence the partition spread) grows.
+//!
+//! A last paired row measures `gcs run`'s default stack (skew observer +
+//! flight recorder) on a 32×32 grid at the kink cadence against the same
+//! stack at the per-event cadence: `overhead_ratio/run_stack_kinks_vs_per_event`
+//! is the kink cadence's share of the per-event cost.
 
 use criterion::{BatchSize, Criterion};
 use gcs_adversary::WavefrontDelay;
-use gcs_analysis::{JsonlWriter, MetricsSink};
+use gcs_analysis::{JsonlWriter, MetricsSink, SkewObserver};
 use gcs_bench::BenchReport;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
-use gcs_sim::{Engine, EventSink, NullSink, RecorderSink, UniformDelay};
+use gcs_sim::{Engine, EngineEvent, EventSink, Kinked, NullSink, RecorderSink, UniformDelay};
 use gcs_sweep::build_rates;
 
 const N: usize = 32;
@@ -174,7 +179,10 @@ fn wavefront_engine<S: EventSink>(n: usize, sink: S) -> Engine<AOpt, WavefrontDe
 }
 
 /// Times `window` engine steps; the inner loop of the paired measurement.
-fn run_window<S: EventSink>(engine: &mut Engine<AOpt, WavefrontDelay, S>, window: u64) -> f64 {
+fn run_window<D: gcs_sim::DelayModel, S: EventSink>(
+    engine: &mut Engine<AOpt, D, S>,
+    window: u64,
+) -> f64 {
     let started = std::time::Instant::now();
     for _ in 0..window {
         engine
@@ -215,35 +223,137 @@ fn run_window<S: EventSink>(engine: &mut Engine<AOpt, WavefrontDelay, S>, window
 fn recorder_steady_ratio(n: usize, window: u64, reps: usize) -> f64 {
     let mut base = wavefront_engine(n, NullSink);
     let mut recorder = wavefront_engine(n, RecorderSink::new());
-    let mut pairs: Vec<(f64, f64)> = (0..reps)
+    let pairs = paired_windows(
+        || run_window(&mut base, window),
+        || run_window(&mut recorder, window),
+        reps,
+    );
+    criterion::black_box(recorder.sink().recorded());
+    fastest_quarter_ratio(&format!("recorder steady-state pairs (n = {n})"), pairs)
+}
+
+/// `reps` interleaved `(base, candidate)` wall-time pairs, alternating
+/// which side runs first.
+fn paired_windows(
+    mut base: impl FnMut() -> f64,
+    mut candidate: impl FnMut() -> f64,
+    reps: usize,
+) -> Vec<(f64, f64)> {
+    (0..reps)
         .map(|i| {
             if i % 2 == 0 {
-                let b = run_window(&mut base, window);
-                (b, run_window(&mut recorder, window))
+                let b = base();
+                (b, candidate())
             } else {
-                let r = run_window(&mut recorder, window);
-                (run_window(&mut base, window), r)
+                let c = candidate();
+                (base(), c)
             }
         })
-        .collect();
-    criterion::black_box(recorder.sink().recorded());
+        .collect()
+}
+
+/// The median candidate ÷ base ratio of the fastest quarter of pairs by
+/// combined wall time (see [`recorder_steady_ratio`]).
+fn fastest_quarter_ratio(label: &str, mut pairs: Vec<(f64, f64)>) -> f64 {
     pairs.sort_unstable_by(|p, q| (p.0 + p.1).total_cmp(&(q.0 + q.1)));
     let kept = (pairs.len() / 4).max(1);
-    let mut ratios: Vec<f64> = pairs[..kept].iter().map(|(b, r)| r / b).collect();
+    let mut ratios: Vec<f64> = pairs[..kept].iter().map(|(b, c)| c / b).collect();
     ratios.sort_unstable_by(|a, b| a.total_cmp(b));
     let fastest_quarter = ratios[ratios.len() / 2];
-    // Stderr diagnostic for when the CI gate fires: if the all-pairs
-    // median reads well above the fastest-quarter figure, the machine
-    // was loaded; if they agree and both are high, the recorder really
-    // regressed.
-    let mut all: Vec<f64> = pairs.iter().map(|(b, r)| r / b).collect();
+    // Stderr diagnostic for when a gate fires: if the all-pairs median
+    // reads well above the fastest-quarter figure, the machine was loaded;
+    // if they agree and both are high, the candidate really regressed.
+    let mut all: Vec<f64> = pairs.iter().map(|(b, c)| c / b).collect();
     all.sort_unstable_by(|a, b| a.total_cmp(b));
     eprintln!(
-        "recorder steady-state pairs (n = {n}): fastest-quarter median = {fastest_quarter:.4}, \
-         all-pairs median = {:.4}",
+        "{label}: fastest-quarter median = {fastest_quarter:.4}, all-pairs median = {:.4}",
         all[all.len() / 2],
     );
     fastest_quarter
+}
+
+/// `gcs run`'s default observers — the skew observer and the flight
+/// recorder — at either snapshot cadence.
+struct RunStack {
+    observer: SkewObserver,
+    recorder: RecorderSink,
+    per_event: bool,
+}
+
+impl EventSink for RunStack {
+    fn record(&mut self, event: &EngineEvent) {
+        self.recorder.record(event);
+    }
+    fn wants_snapshots(&self) -> bool {
+        self.per_event
+    }
+    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
+        self.observer.snapshot(t, clocks, queue_depth);
+    }
+    fn wants_kink_snapshots(&self) -> bool {
+        !self.per_event
+    }
+    fn kink_snapshot(&mut self, t: f64, clocks: &[f64], kinked: Kinked<'_>, queue_depth: usize) {
+        self.observer.kink_snapshot(t, clocks, kinked, queue_depth);
+    }
+}
+
+/// `gcs run --topology grid:32x32` with `uniform` delays and `walk` rates,
+/// warmed until every node has started.
+fn run_grid_engine(per_event: bool) -> Engine<AOpt, UniformDelay, RunStack> {
+    let (eps, t_max) = (0.01, 0.1);
+    let graph = topology::grid(32, 32);
+    let drift = gcs_time::DriftBounds::new(eps).unwrap();
+    let schedules = build_rates("walk", &graph, drift, 1_000.0, 1).unwrap();
+    let params = Params::recommended(eps, t_max).unwrap();
+    let sink = RunStack {
+        observer: SkewObserver::new(&graph),
+        recorder: RecorderSink::new(),
+        per_event,
+    };
+    let n = graph.len();
+    let mut engine = Engine::builder(graph)
+        .protocols(vec![AOpt::new(params); n])
+        .delay_model(UniformDelay::new(t_max, 1))
+        .rate_schedules(schedules)
+        .event_sink(sink)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(2.0);
+    engine
+}
+
+/// Paired, interleaved windows of the `gcs run` default stack: the kink
+/// cadence's wall time over the per-event cadence's, on one execution.
+/// Also returns the two cadences' fastest-quarter µs per event.
+fn run_stack_ratio(window: u64, reps: usize) -> (f64, f64, f64) {
+    let mut per_event = run_grid_engine(true);
+    let mut kinks = run_grid_engine(false);
+    let pairs = paired_windows(
+        || run_window(&mut per_event, window),
+        || run_window(&mut kinks, window),
+        reps,
+    );
+    assert_eq!(
+        per_event.message_stats(),
+        kinks.message_stats(),
+        "both cadences run the same execution"
+    );
+    // The kink cadence's maxima are current at a horizon.
+    let t = kinks.now();
+    per_event.run_until(t);
+    kinks.run_until(t);
+    let skew = |e: &Engine<AOpt, UniformDelay, RunStack>| e.sink().observer.worst_global();
+    assert!(
+        (skew(&per_event) - skew(&kinks)).abs() <= 1e-12,
+        "both cadences report the same worst global skew"
+    );
+    let mut fastest = pairs.clone();
+    fastest.sort_unstable_by(|p, q| (p.0 + p.1).total_cmp(&(q.0 + q.1)));
+    let us = |t: f64| 1e6 * t / window as f64;
+    let (p, k) = fastest[0];
+    let ratio = fastest_quarter_ratio("run stack kinks vs per-event pairs (grid:32x32)", pairs);
+    (ratio, us(p), us(k))
 }
 
 // A hand-written main instead of `criterion_main!`: after the group runs,
@@ -325,6 +435,14 @@ fn main() {
         "overhead_ratio/recorder_sink_n4096",
         best_of(N_LARGE, 5_000, 75),
     );
+    let (ratio, per_event_us, kinks_us) = (0..EPOCHS)
+        .map(|_| run_stack_ratio(1_000, 41))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("EPOCHS > 0");
+    report.config("run_stack", "grid:32x32 aopt uniform walk");
+    report.metric("overhead_ratio/run_stack_kinks_vs_per_event", ratio);
+    report.metric("us_per_event/run_stack_per_event", per_event_us);
+    report.metric("us_per_event/run_stack_kinks", kinks_us);
     match report.write() {
         Ok(path) => println!("machine-readable results written to {path}"),
         Err(e) => eprintln!("warning: could not write bench results: {e}"),

@@ -7,12 +7,41 @@
 //! 8 workers only fires on hosts that actually have ≥8 cores — on smaller
 //! hosts the bench still verifies determinism and reports the measured
 //! scaling.
+//!
+//! Worker counts run interleaved, in the rows of a balanced Latin square
+//! (each count once per position, each ordered neighbour pair once), and
+//! each count reports its median wall time. Host drift and warm-up then
+//! hit every count alike, so run order cannot manufacture a speedup; one
+//! beyond `1.25 × min(workers, cores)` fails the bench.
 
 use std::time::{Duration, Instant};
 
 use gcs_analysis::Table;
 use gcs_bench::{banner, f2, BenchReport};
 use gcs_sweep::{report, run_sweep, SweepSpec};
+
+/// Worker counts, measured interleaved.
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+/// Run order, as indices into [`WORKERS`]: a balanced (Williams) Latin
+/// square, so every count sits in every position once and follows every
+/// other count once.
+const ORDER: [[usize; 4]; 4] = [[0, 1, 3, 2], [1, 2, 0, 3], [2, 3, 1, 0], [3, 0, 2, 1]];
+
+/// Passes over [`ORDER`]; each count gets `PASSES × 4` samples.
+const PASSES: usize = 3;
+
+/// The median of `samples` (sorted in place; mean of the middle two for an
+/// even count).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_unstable_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len().is_multiple_of(2) {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    } else {
+        samples[mid]
+    }
+}
 
 /// Runs the sweep at the given worker count, returning the concatenated
 /// CSV+JSONL output and the wall-clock time of the orchestrated portion.
@@ -66,36 +95,45 @@ fn main() {
         .config("eps", "0.01,0.02")
         .config("seeds", "0..32")
         .config("horizon", spec.horizon)
-        .config("host_cores", cores);
+        .config("host_cores", cores)
+        .config("rounds", PASSES * ORDER.len())
+        .config("statistic", "median");
 
-    let mut table = Table::new(vec!["workers", "wall clock", "speedup", "output"]);
-    let mut baseline = Duration::ZERO;
-    let mut speedup_at_8 = 0.0;
-    for workers in [1usize, 2, 4, 8] {
-        let (out, elapsed, _) = run_at(&spec, workers);
-        let identical = out == reference;
-        assert!(
-            identical,
-            "sweep output at {workers} workers diverged from the 1-worker output"
-        );
-        if workers == 1 {
-            baseline = elapsed;
+    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); WORKERS.len()];
+    for order in std::iter::repeat_n(ORDER, PASSES).flatten() {
+        for i in order {
+            let workers = WORKERS[i];
+            let (out, elapsed, _) = run_at(&spec, workers);
+            assert!(
+                out == reference,
+                "sweep output at {workers} workers diverged from the 1-worker output"
+            );
+            walls[i].push(elapsed.as_secs_f64());
         }
-        let speedup = baseline.as_secs_f64() / elapsed.as_secs_f64();
+    }
+    let medians: Vec<f64> = walls.iter_mut().map(|w| median(w)).collect();
+
+    let mut table = Table::new(vec!["workers", "median wall clock", "speedup", "output"]);
+    let mut speedup_at_8 = 0.0;
+    for (i, &workers) in WORKERS.iter().enumerate() {
+        let speedup = medians[0] / medians[i];
         if workers == 8 {
             speedup_at_8 = speedup;
         }
-        results.metric(
-            &format!("wall_seconds/workers={workers}"),
-            elapsed.as_secs_f64(),
-        );
+        results.metric(&format!("wall_seconds/workers={workers}"), medians[i]);
         results.metric(&format!("speedup/workers={workers}"), speedup);
         table.row(vec![
             workers.to_string(),
-            format!("{elapsed:.2?}"),
+            format!("{:.2?}", Duration::from_secs_f64(medians[i])),
             format!("{}x", f2(speedup)),
-            if identical { "identical" } else { "DIVERGED" }.to_string(),
+            "identical".to_string(),
         ]);
+        let ceiling = 1.25 * workers.min(cores) as f64;
+        assert!(
+            speedup <= ceiling,
+            "{workers}-worker speedup {speedup:.2}x exceeds 1.25 x min(workers, cores) on a \
+             {cores}-core host: the measurement is biased"
+        );
     }
     println!("{table}");
 
@@ -119,5 +157,8 @@ fn main() {
              the ≥3x-at-8-workers check needs ≥8 cores and was skipped"
         );
     }
-    println!("aggregated CSV+JSONL byte-identical across 1/2/4/8 workers ✓");
+    println!(
+        "aggregated CSV+JSONL byte-identical across 1/2/4/8 workers in {} interleaved rounds ✓",
+        PASSES * ORDER.len()
+    );
 }

@@ -10,14 +10,16 @@
 //! {
 //!   "schema": "gcs-bench-result/v1",
 //!   "bench": "sweep_scaling",
-//!   "config": {"jobs": "256", "horizon": "60"},
+//!   "config": {"cores": "2", "jobs": "256", "horizon": "60"},
 //!   "metrics": {"wall_seconds/workers=1": 4.21, "speedup/workers=8": 3.4}
 //! }
 //! ```
 //!
 //! `config` holds the knobs that make the numbers comparable (as strings);
 //! `metrics` holds the measurements (as finite floats). Both preserve
-//! insertion order.
+//! insertion order. Every report starts with `cores`, the host's
+//! available parallelism, so no number travels without the core count it
+//! was measured on.
 
 use std::fmt::Display;
 use std::io;
@@ -32,18 +34,25 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Starts a report for the bench called `name`.
+    /// Starts a report for the bench called `name`, with `cores` set to
+    /// the host's available parallelism.
     pub fn new(name: &str) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         BenchReport {
             name: name.to_string(),
-            config: Vec::new(),
+            config: vec![("cores".to_string(), cores.to_string())],
             metrics: Vec::new(),
         }
     }
 
-    /// Records one configuration knob (stringified).
+    /// Records one configuration knob (stringified), replacing an earlier
+    /// value of the same key in place.
     pub fn config(&mut self, key: &str, value: impl Display) -> &mut Self {
-        self.config.push((key.to_string(), value.to_string()));
+        let value = value.to_string();
+        match self.config.iter_mut().find(|(k, _)| k == key) {
+            Some(slot) => slot.1 = value,
+            None => self.config.push((key.to_string(), value)),
+        }
         self
     }
 
@@ -126,15 +135,24 @@ mod tests {
     #[test]
     fn renders_stable_schema() {
         let mut r = BenchReport::new("sweep_scaling");
-        r.config("jobs", 256).config("horizon", 60.0);
+        r.config("jobs", 256)
+            .config("horizon", 60.0)
+            .config("cores", 8);
         r.metric("wall_seconds/workers=1", 4.25);
         r.metric("speedup/workers=8", 3.5);
         assert_eq!(
             r.to_json(),
             "{\"schema\":\"gcs-bench-result/v1\",\"bench\":\"sweep_scaling\",\
-             \"config\":{\"jobs\":\"256\",\"horizon\":\"60\"},\
+             \"config\":{\"cores\":\"8\",\"jobs\":\"256\",\"horizon\":\"60\"},\
              \"metrics\":{\"wall_seconds/workers=1\":4.25,\"speedup/workers=8\":3.5}}\n"
         );
+    }
+
+    #[test]
+    fn records_host_cores_first() {
+        let json = BenchReport::new("x").config("a", 1).to_json();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(json.contains(&format!("\"config\":{{\"cores\":\"{cores}\",\"a\":\"1\"}}")));
     }
 
     #[test]

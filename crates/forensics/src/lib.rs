@@ -9,7 +9,7 @@
 //!
 //! * [`TraceSummary`] — per-node / per-edge event, delay, and rate-change
 //!   statistics (`gcs trace summary`);
-//! * [`blame`] — locate the peak global/local skew instant and walk the
+//! * [`blame()`] — locate the peak global/local skew instant and walk the
 //!   causal chain of deliveries and multiplier steps that produced it
 //!   (`gcs trace blame`), the mechanism of the paper's Thm 5.10 made
 //!   visible;

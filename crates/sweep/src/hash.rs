@@ -8,7 +8,8 @@
 //! result reuse:
 //!
 //! * `gcs sweep` dedupes identical expanded grid points (duplicate axis
-//!   values) so each distinct execution runs once (see [`crate::dedupe`]);
+//!   values) so each distinct execution runs once (see
+//!   [`DedupePlan`](crate::DedupePlan));
 //! * `gcs serve` keys its result cache by the digest, so a repeated spec
 //!   is answered from the cache without touching the engine.
 //!

@@ -17,7 +17,7 @@
 //!   provenance (blame), and Chrome trace-event export.
 //! * [`telemetry`] — streaming `gcs-heartbeat/v1` run progress and the
 //!   `gcs top` status rendering.
-//! * [`bench`] — the experiment harness and `gcs bench diff` artifact
+//! * [`bench`](mod@bench) — the experiment harness and `gcs bench diff` artifact
 //!   comparison.
 //! * [`serve`] — the `gcs serve` daemon: admission-controlled job
 //!   submission over HTTP/1.1 with spec-hash result caching and JSONL
