@@ -19,6 +19,23 @@
 //! [`WatchdogTrip`] carrying the violation and the last `N` engine events
 //! from its ring buffer, then stops checking (the first broken invariant is
 //! the diagnostic signal; everything after it is noise).
+//!
+//! Conditions (1)/(2) cost O(n) per snapshot. Definition 5.6 bounds all
+//! n(n−1)/2 pairs, but the watchdog evaluates only the pairs that could
+//! have crossed their bound ([`LegalStateChecker::observe_due`]). It
+//! reaches the legal check only after every started node passed
+//! Condition (2) on this snapshot, so between two snapshots each clock
+//! moved by `α·Δt − tol … β·Δt + tol` and every pair's skew by at most
+//! `(β − α)·Δt + 2·tol`, i.e. `|d(L_v − L_w)/dt| ≤ β − α` up to the
+//! tolerance. The watchdog keeps the potential
+//! `Φ = (β − α)·t + 2·tol·k + guard` (`k` snapshots checked, `guard` the
+//! accumulated bound on floating-point rounding), so a pair with margin `m`
+//! at `Φ₀` is re-evaluated only once `Φ ≥ Φ₀ + m + tol`. Until every node
+//! has woken it scans all pairs: an unstarted node holds `L = 0` and is
+//! exempt from Condition (2), so it may jump at its wake. Either way the
+//! trip is the one a full scan reports, bit for bit. Per-level margins
+//! belong to the full-scan [`LegalStateChecker::observe_clocks`]; the
+//! watchdog does not track them.
 
 use gcs_core::Params;
 use gcs_graph::Graph;
@@ -164,6 +181,15 @@ pub struct InvariantWatchdog {
     /// Per-node Condition (2) checker (only fed once the node is started).
     progress: Vec<ProgressChecker>,
     legal: LegalStateChecker,
+    /// Nodes woken so far; the deadline check starts once all have.
+    woken: usize,
+    /// The potential Φ at the last deadline check (see the module docs).
+    potential: f64,
+    /// The accumulated rounding guard inside Φ.
+    guard: f64,
+    /// The scale-free part of the per-snapshot rounding guard: the largest
+    /// pair bound.
+    max_bound: f64,
     ring: RingBufferSink,
     trip: Option<Box<WatchdogTrip>>,
     snapshots: u64,
@@ -172,6 +198,14 @@ pub struct InvariantWatchdog {
 impl InvariantWatchdog {
     /// Default flight-recorder depth.
     pub const DEFAULT_RING_CAPACITY: usize = 64;
+
+    /// Units of roundoff (`f64::EPSILON`) of the largest magnitude in play
+    /// that Φ's guard adds per snapshot. The rounding it covers is about
+    /// 30 units: both nodes' Condition (2) checks, a pair's margin at its
+    /// evaluation and at a later snapshot, and the sums forming Φ and the
+    /// deadline. Twice that leaves room; it costs nothing measurable,
+    /// since `2·tol` per snapshot dwarfs it.
+    const GUARD_ULPS: f64 = 64.0;
 
     /// Creates a watchdog for executions of `A^opt`(-like) protocols with
     /// parameters `params` on `graph`, under hardware drift at most
@@ -195,13 +229,18 @@ impl InvariantWatchdog {
     ) -> Self {
         let n = graph.len();
         let envelope = RateEnvelope::for_a_opt(drift, params.mu());
+        let legal = LegalStateChecker::new(graph, params);
         InvariantWatchdog {
             drift,
             envelope,
             tolerance: 1e-9,
             envelopes: vec![None; n],
             progress: vec![ProgressChecker::new(envelope, 1e-9); n],
-            legal: LegalStateChecker::new(graph, params),
+            max_bound: legal.max_bound(),
+            legal,
+            woken: 0,
+            potential: 0.0,
+            guard: 0.0,
             ring: RingBufferSink::new(ring_capacity),
             trip: None,
             snapshots: 0,
@@ -223,14 +262,22 @@ impl InvariantWatchdog {
         self.snapshots
     }
 
-    /// The legal-state checker (margins, first violation).
-    pub fn legal_state(&self) -> &LegalStateChecker {
-        &self.legal
-    }
-
     /// The Condition (2) progress envelope the watchdog enforces.
     pub fn rate_envelope(&self) -> RateEnvelope {
         self.envelope
+    }
+
+    /// Advances Φ to snapshot `t` (every started node has just passed
+    /// Condition (2)) and returns it. Φ strictly increases, so a pair due
+    /// "after this snapshot" is due at the next one.
+    fn advance_potential(&mut self, t: f64) -> f64 {
+        // By Condition (1), |L| ≤ (1 + ε)t + tol ≤ βt + 1 for every node.
+        let scale = self.envelope.beta() * t + 1.0 + self.max_bound + self.potential;
+        self.guard += Self::GUARD_ULPS * f64::EPSILON * scale;
+        let spread = self.envelope.beta() - self.envelope.alpha();
+        let phi = spread * t + 2.0 * self.tolerance * self.snapshots as f64 + self.guard;
+        self.potential = phi.max(self.potential.next_up());
+        self.potential
     }
 
     fn trip_with(&mut self, violation: WatchdogViolation) {
@@ -249,8 +296,11 @@ impl EventSink for InvariantWatchdog {
         }
         self.ring.record(event);
         if let EngineEvent::Wake { node, t, .. } = event {
-            self.envelopes[node.index()] =
-                Some(EnvelopeChecker::new(self.drift, *t, self.tolerance));
+            let env = &mut self.envelopes[node.index()];
+            if env.is_none() {
+                self.woken += 1;
+            }
+            *env = Some(EnvelopeChecker::new(self.drift, *t, self.tolerance));
         }
     }
 
@@ -292,7 +342,13 @@ impl EventSink for InvariantWatchdog {
                 return;
             }
         }
-        if !self.legal.observe_clocks(t, clocks) {
+        let legal = if self.woken < self.envelopes.len() {
+            self.legal.observe_clocks(t, clocks)
+        } else {
+            let potential = self.advance_potential(t);
+            self.legal.observe_due(t, potential, clocks)
+        };
+        if !legal {
             let v = self
                 .legal
                 .first_violation()

@@ -17,10 +17,17 @@
 //! flight recorder) on a 32×32 grid at the kink cadence against the same
 //! stack at the per-event cadence: `overhead_ratio/run_stack_kinks_vs_per_event`
 //! is the kink cadence's share of the per-event cost.
+//!
+//! Another paired row measures `gcs chaos run`'s oracle stack (skew
+//! observer + invariant watchdog + flight recorder) on a 12×12 grid
+//! against the same stack without the watchdog:
+//! `overhead_ratio/chaos_oracle_watchdog` is what the watchdog's
+//! Conditions (1)/(2) and its Definition 5.6 deadline check cost
+//! (CI-gated at ≤ 3.0).
 
 use criterion::{BatchSize, Criterion};
 use gcs_adversary::WavefrontDelay;
-use gcs_analysis::{JsonlWriter, MetricsSink, SkewObserver};
+use gcs_analysis::{InvariantWatchdog, JsonlWriter, MetricsSink, SkewObserver};
 use gcs_bench::BenchReport;
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
@@ -356,6 +363,86 @@ fn run_stack_ratio(window: u64, reps: usize) -> (f64, f64, f64) {
     (ratio, us(p), us(k))
 }
 
+/// `gcs chaos run`'s oracle stack, with or without the watchdog.
+struct OracleStack {
+    observer: SkewObserver,
+    watchdog: Option<InvariantWatchdog>,
+    recorder: RecorderSink,
+}
+
+impl EventSink for OracleStack {
+    fn record(&mut self, event: &EngineEvent) {
+        self.recorder.record(event);
+        if let Some(w) = self.watchdog.as_mut() {
+            w.record(event);
+        }
+    }
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
+        self.observer.observe_clocks(t, clocks);
+        if let Some(w) = self.watchdog.as_mut() {
+            w.snapshot(t, clocks, queue_depth);
+        }
+    }
+}
+
+/// The `chaos_oracle` execution without its fault clauses: `grid:12x12`,
+/// `A^opt`, uniform delays and walk rates, warmed until every node has
+/// started (so the watchdog has seeded its legal-state deadlines).
+fn chaos_oracle_engine(watchdog: bool) -> Engine<AOpt, UniformDelay, OracleStack> {
+    let (eps, t_max) = (0.02, 0.2);
+    let graph = topology::grid(12, 12);
+    let drift = gcs_time::DriftBounds::new(eps).unwrap();
+    let schedules = build_rates("walk", &graph, drift, 1_000.0, 1).unwrap();
+    let params = Params::recommended(eps, t_max).unwrap();
+    let sink = OracleStack {
+        observer: SkewObserver::new(&graph),
+        watchdog: watchdog.then(|| InvariantWatchdog::new(&graph, params, drift)),
+        recorder: RecorderSink::new(),
+    };
+    let n = graph.len();
+    let mut engine = Engine::builder(graph)
+        .protocols(vec![AOpt::new(params); n])
+        .delay_model(UniformDelay::new(t_max, 1))
+        .rate_schedules(schedules)
+        .event_sink(sink)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(2.0);
+    engine
+}
+
+/// Paired, interleaved windows of the oracle stack: with the watchdog over
+/// without it, on one execution. Also returns the two stacks'
+/// fastest-pair µs per event.
+fn chaos_oracle_ratio(window: u64, reps: usize) -> (f64, f64, f64) {
+    let mut bare = chaos_oracle_engine(false);
+    let mut guarded = chaos_oracle_engine(true);
+    let pairs = paired_windows(
+        || run_window(&mut bare, window),
+        || run_window(&mut guarded, window),
+        reps,
+    );
+    assert_eq!(
+        bare.message_stats(),
+        guarded.message_stats(),
+        "both stacks run the same execution"
+    );
+    let watchdog = guarded.sink().watchdog.as_ref().expect("armed");
+    assert!(!watchdog.tripped(), "{:?}", watchdog.trip());
+    let mut fastest = pairs.clone();
+    fastest.sort_unstable_by(|p, q| (p.0 + p.1).total_cmp(&(q.0 + q.1)));
+    let us = |t: f64| 1e6 * t / window as f64;
+    let (b, g) = fastest[0];
+    let ratio = fastest_quarter_ratio(
+        "chaos oracle with vs without watchdog pairs (grid:12x12)",
+        pairs,
+    );
+    (ratio, us(b), us(g))
+}
+
 // A hand-written main instead of `criterion_main!`: after the group runs,
 // drain the measurements and export them as BENCH_observer_overhead.json
 // so the observability layer's cost is tracked commit over commit.
@@ -443,6 +530,14 @@ fn main() {
     report.metric("overhead_ratio/run_stack_kinks_vs_per_event", ratio);
     report.metric("us_per_event/run_stack_per_event", per_event_us);
     report.metric("us_per_event/run_stack_kinks", kinks_us);
+    let (ratio, bare_us, guarded_us) = (0..EPOCHS)
+        .map(|_| chaos_oracle_ratio(1_000, 41))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("EPOCHS > 0");
+    report.config("chaos_oracle_stack", "grid:12x12 aopt uniform walk");
+    report.metric("overhead_ratio/chaos_oracle_watchdog", ratio);
+    report.metric("us_per_event/chaos_oracle_without_watchdog", bare_us);
+    report.metric("us_per_event/chaos_oracle_with_watchdog", guarded_us);
     match report.write() {
         Ok(path) => println!("machine-readable results written to {path}"),
         Err(e) => eprintln!("warning: could not write bench results: {e}"),

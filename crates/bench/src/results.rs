@@ -23,6 +23,7 @@
 
 use std::fmt::Display;
 use std::io;
+use std::path::Path;
 
 /// Accumulates one bench's configuration and measurements, then renders
 /// or writes the `BENCH_<name>.json` artifact.
@@ -96,20 +97,26 @@ impl BenchReport {
         out
     }
 
-    /// Writes `BENCH_<name>.json` into the workspace root (so artifacts
-    /// from every bench crate land in one tracked place) and returns the
-    /// path written.
+    /// Writes `BENCH_<name>.json` into the root of the checkout the
+    /// working directory lies in (so artifacts from every bench crate land
+    /// in one tracked place) and returns the path written. Cargo runs
+    /// benches from their package directory, so a bench run from any copy
+    /// of the repository writes into that copy; outside a checkout the
+    /// artifact goes to the working directory.
     pub fn write(&self) -> io::Result<String> {
-        // crates/bench/ → workspace root. Compile-time, so the artifact
-        // lands in the repo no matter where `cargo bench` is invoked from.
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("crates/bench has a workspace root two levels up");
+        let cwd = std::env::current_dir()?;
+        let root = checkout_root(&cwd).unwrap_or(&cwd);
         let path = root.join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json())?;
         Ok(path.display().to_string())
     }
+}
+
+/// The nearest of `dir` and its ancestors that is a checkout of this
+/// repository, recognised by `crates/bench/Cargo.toml`.
+fn checkout_root(dir: &Path) -> Option<&Path> {
+    dir.ancestors()
+        .find(|d| d.join("crates").join("bench").join("Cargo.toml").is_file())
 }
 
 fn push_json_string(out: &mut String, s: &str) {
@@ -153,6 +160,22 @@ mod tests {
         let json = BenchReport::new("x").config("a", 1).to_json();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert!(json.contains(&format!("\"config\":{{\"cores\":\"{cores}\",\"a\":\"1\"}}")));
+    }
+
+    #[test]
+    fn checkout_root_is_found_from_any_directory_inside_it() {
+        let checkout = std::env::temp_dir().join(format!("gcs-bench-root-{}", std::process::id()));
+        let bench = checkout.join("crates").join("bench");
+        std::fs::create_dir_all(&bench).unwrap();
+        std::fs::write(bench.join("Cargo.toml"), "").unwrap();
+        assert_eq!(checkout_root(&bench), Some(checkout.as_path()));
+        assert_eq!(checkout_root(&checkout), Some(checkout.as_path()));
+        assert_eq!(
+            checkout_root(&checkout.join("a").join("b")),
+            Some(checkout.as_path())
+        );
+        assert_eq!(checkout_root(checkout.parent().unwrap()), None);
+        std::fs::remove_dir_all(&checkout).unwrap();
     }
 
     #[test]

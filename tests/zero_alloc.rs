@@ -8,7 +8,9 @@
 //! in rate-change rescheduling — would trip this test if reintroduced.
 //!
 //! The same holds with `gcs run`'s default observers (the skew observer
-//! at the kink cadence and the flight recorder) installed.
+//! at the kink cadence and the flight recorder) installed, and with
+//! `gcs chaos run`'s oracle stack (skew observer, invariant watchdog and
+//! flight recorder) once the watchdog has seeded its legal-state deadlines.
 //!
 //! This file holds a single `#[test]` on purpose: the allocator count is
 //! process-global, and a sibling test thread would pollute the window.
@@ -17,10 +19,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gcs_adversary::WavefrontDelay;
-use gcs_analysis::SkewObserver;
+use gcs_analysis::{InvariantWatchdog, SkewObserver};
 use gcs_core::{AOpt, Params};
 use gcs_graph::{topology, NodeId};
-use gcs_sim::{Engine, RecorderSink};
+use gcs_sim::{Engine, EngineEvent, EventSink, RecorderSink, UniformDelay};
 use gcs_sweep::build_rates;
 
 /// Counts every allocation (alloc + realloc) made by the process.
@@ -44,6 +46,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `gcs chaos run`'s oracle stack: every snapshot goes to the skew
+/// observer and the invariant watchdog, every event to the recorder and
+/// the watchdog.
+struct OracleStack {
+    observer: SkewObserver,
+    watchdog: InvariantWatchdog,
+    recorder: RecorderSink,
+}
+
+impl EventSink for OracleStack {
+    fn record(&mut self, event: &EngineEvent) {
+        self.recorder.record(event);
+        self.watchdog.record(event);
+    }
+    fn wants_snapshots(&self) -> bool {
+        true
+    }
+    fn snapshot(&mut self, t: f64, clocks: &[f64], queue_depth: usize) {
+        self.observer.observe_clocks(t, clocks);
+        self.watchdog.snapshot(t, clocks, queue_depth);
+    }
+}
 
 #[test]
 fn steady_state_window_makes_no_heap_allocations() {
@@ -147,6 +172,43 @@ fn steady_state_window_makes_no_heap_allocations() {
         (1..10_000).contains(&observed),
         "the observer must have seen some, not all, events as kinks ({observed})"
     );
+
+    // The chaos oracle stack on grid:12x12 (10,296 node pairs): once every
+    // node has woken, the watchdog builds its deadline heap once and then
+    // only re-keys due pairs in place.
+    let graph = topology::grid(12, 12);
+    let n = graph.len();
+    let (eps, t_max) = (0.02, 0.2);
+    let drift = gcs_time::DriftBounds::new(eps).unwrap();
+    let params = Params::recommended(eps, t_max).unwrap();
+    let schedules = build_rates("walk", &graph, drift, 100.0, 11).unwrap();
+    let sink = OracleStack {
+        observer: SkewObserver::new(&graph),
+        watchdog: InvariantWatchdog::new(&graph, params, drift),
+        recorder: RecorderSink::new(),
+    };
+    let mut engine = Engine::builder(graph)
+        .protocols(vec![AOpt::new(params); n])
+        .delay_model(UniformDelay::new(t_max, 11))
+        .rate_schedules(schedules)
+        .event_sink(sink)
+        .build();
+    engine.wake_all_at(0.0);
+    engine.run_until(5.0);
+
+    let checked_before = engine.sink().watchdog.snapshots();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..10_000 {
+        engine.step().expect("A^opt never drains its queue");
+    }
+    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocated, 0,
+        "chaos oracle stack allocated {allocated} times across a 10k-event window"
+    );
+    let watchdog = &engine.sink().watchdog;
+    assert!(!watchdog.tripped(), "{:?}", watchdog.trip());
+    assert_eq!(watchdog.snapshots() - checked_before, 10_000);
 
     // Large-n case: the SoA hot/cold node planes, the packed-key queue,
     // and the pending slabs all pre-reserve capacity at build time, so the
